@@ -15,6 +15,19 @@ at its atomic manifest swap (or loose write) and every cache entry is
 dropped: the daemon keeps serving *correct* bytes while a fleet writes
 under it, it just pays one cold load per new generation.
 
+A view is served only from a build across which the store held still:
+after building its table (or its stats census) the view re-reads the
+token, and if the token moved -- a ``merge`` may have garbage-collected
+the very files the build was reading, a ``compact`` may have sealed
+loose records between the manifest load and the loose listing -- the
+build is discarded and the request starts over on a fresh view, before
+any byte of the response is sent.  Each discarded build means a writer
+published something, so retries end as soon as writers pause; a writer
+that never pauses is bounded by :data:`SETTLE_TIMEOUT_S`, past which the
+request is answered 503.  A ``/records/<key>`` hit is served whatever
+the timing (records are content-addressed); a miss is answered 404 only
+if the token held across the lookup.
+
 Endpoints (all ``GET``, all JSON unless noted):
 
 - ``/`` -- endpoint index;
@@ -34,7 +47,8 @@ Endpoints (all ``GET``, all JSON unless noted):
 Error contract: unknown endpoints and unknown record keys are 404,
 invalid query parameters (unknown column, bad aggregate, non-numeric
 crossover axis) are 400, and a store that cannot be loaded at all (the
-directory vanished, the bulk read raised) is 503 -- each as a JSON
+directory vanished, the bulk read raised, no view build held still
+within :data:`SETTLE_TIMEOUT_S`) is 503 -- each as a JSON
 ``{"error": ...}`` body, with a warning on the ``repro.sweeps.serve``
 logger for the 5xx paths.  Success responses carry ``ETag`` and
 ``Cache-Control: no-cache`` (revalidate every time; revalidation is one
@@ -53,6 +67,7 @@ import hashlib
 import json
 import logging
 import threading
+import time
 import typing
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -73,6 +88,8 @@ from repro.sweeps.store import SweepStore
 if typing.TYPE_CHECKING:
     from collections.abc import Callable
 
+T = typing.TypeVar("T")
+
 __all__ = [
     "DEFAULT_CSV_CHUNK_ROWS",
     "SweepServer",
@@ -86,6 +103,14 @@ DEFAULT_CSV_CHUNK_ROWS = 2048
 #: Cached rendered payloads per store generation (LRU; /csv is never
 #: body-cached -- it streams from the cached table instead).
 DEFAULT_CACHE_PAYLOADS = 64
+
+#: Longest a request keeps retrying view builds that a writer tore
+#: before it is answered 503.  A deadline rather than a build count: how
+#: many builds a busy store tears says how fast the writers publish, not
+#: how long the client has waited.  60 s is the read timeout HTTP
+#: clients and proxies commonly default to (nginx ``proxy_read_timeout``,
+#: for one); a response later than that would reach nobody.
+SETTLE_TIMEOUT_S = 60.0
 
 logger = logging.getLogger(__name__)
 
@@ -141,15 +166,27 @@ def store_token(directory: Path) -> str:
     return digest.hexdigest()[:32]
 
 
+class _StoreMoved(Exception):
+    """A view's build saw the store change under it; start over."""
+
+
+class _StoreUnavailable(OSError):
+    """The store cannot be served: gone, or never held still (HTTP 503)."""
+
+
 class _StoreView:
     """One consistent, cache-carrying snapshot of the store.
 
     A view is pinned to the generation token observed when it was
     created: the lazily built :class:`ResultTable`, the stats census,
     and every rendered payload it holds were all computed from that
-    state.  The server swaps the whole view atomically when the token
-    moves, so a request never sees a table from one generation with a
-    cached aggregate from another.
+    state.  A build is kept only if the token still reads the same once
+    it is done; otherwise the store moved while the build read it (a
+    merge's GC can unlink the files a build is halfway through), the
+    build is discarded, and :class:`_StoreMoved` sends the request to a
+    fresh view.  The server swaps the whole view atomically when the
+    token moves, so a request never sees a table from one generation
+    with a cached aggregate from another.
     """
 
     def __init__(
@@ -165,18 +202,37 @@ class _StoreView:
         self._lock = threading.RLock()
         self._table: ResultTable | None = None
         self._stats = None
+        self._moved = False
         self._payloads: "OrderedDict[tuple, bytes]" = OrderedDict()
+
+    def check_settled(self) -> None:
+        """Raise :class:`_StoreMoved` unless the token still reads as it
+        did when the view was created.  Once moved, a view stays moved:
+        every store mutation moves the token forward, never back."""
+        self._moved = self._moved or store_token(self.directory) != self.token
+        if self._moved:
+            raise _StoreMoved
+
+    def _settled(self, build: "Callable[[], T]") -> "T":
+        """``build()``, kept only if the store held still across it."""
+        if self._moved:
+            raise _StoreMoved
+        value = build()
+        self.check_settled()
+        return value
 
     def table(self) -> ResultTable:
         with self._lock:
             if self._table is None:
-                self._table = ResultTable.from_store(self.store)
+                self._table = self._settled(
+                    lambda: ResultTable.from_store(self.store)
+                )
             return self._table
 
     def stats(self):
         with self._lock:
             if self._stats is None:
-                self._stats = self.store.stats()
+                self._stats = self._settled(self.store.stats)
             return self._stats
 
     def payload(self, key: tuple, build: "Callable[[], dict]") -> bytes:
@@ -265,16 +321,18 @@ class _ServeHandler(BaseHTTPRequestHandler):
         query = parse_qs(split.query)
         server: SweepServer = self.server  # type: ignore[assignment]
 
+        # Every endpoint computes its body before the first byte is sent,
+        # so a build the store tore can still be retried on a fresh view.
         try:
-            view = server.current_view()
-        except OSError as exc:
+            server.settled(lambda view: self._dispatch(view, path, query))
+        except _StoreUnavailable as exc:
             logger.warning(
                 "serve: store %s is unreadable: %s",
                 server.store_directory, exc,
             )
             self._send_error_json(503, f"store unavailable: {exc}")
-            return
 
+    def _dispatch(self, view: _StoreView, path: str, query: dict) -> None:
         if path == "/":
             self._reply(
                 view.payload(("index",), _index_payload),
@@ -340,6 +398,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return
         record = view.store.get(key)
         if record is None:
+            # A hit is right whatever the timing (records are content-
+            # addressed); a miss only if no merge's GC ran under it.
+            view.check_settled()
             self._send_error_json(404, f"no record for key {key!r}")
             return
         body = json.dumps(record, sort_keys=True).encode("utf-8")
@@ -543,7 +604,7 @@ class SweepServer(ThreadingHTTPServer):
         into quietly wrong data.
         """
         if not self.store_directory.is_dir():
-            raise OSError(
+            raise _StoreUnavailable(
                 f"store directory {self.store_directory} disappeared"
             )
         token = store_token(self.store_directory)
@@ -556,6 +617,26 @@ class SweepServer(ThreadingHTTPServer):
                 self._view = view
             return view
 
+    def settled(self, read: "Callable[[_StoreView], T]") -> "T":
+        """``read(view)`` on the current view, retried on a fresh view
+        each time the store moves under it (:class:`_StoreMoved`).
+
+        Each retry means a writer published something, so the loop ends
+        once writers pause; past :data:`SETTLE_TIMEOUT_S` it raises
+        ``OSError`` (HTTP 503) instead, as it does when the store
+        directory is gone.
+        """
+        deadline = time.monotonic() + SETTLE_TIMEOUT_S
+        while True:
+            try:
+                return read(self.current_view())
+            except _StoreMoved:
+                if time.monotonic() >= deadline:
+                    raise _StoreUnavailable(
+                        f"store {self.store_directory} never held still "
+                        f"through a view build in {SETTLE_TIMEOUT_S:g} s"
+                    ) from None
+
     def etag(self) -> str:
         """The current generation ETag (quoted, as sent on the wire)."""
         return self.current_view().etag
@@ -564,8 +645,7 @@ class SweepServer(ThreadingHTTPServer):
     def ready_line(self) -> str:
         """Stable machine-readable readiness line (``SERVE ready ...``);
         fields are append-only, like every other summary-line contract."""
-        view = self.current_view()
-        stats = view.stats()
+        view, stats = self.settled(lambda view: (view, view.stats()))
         return (
             f"SERVE ready port={self.port} store={self.store_directory} "
             f"generation={stats.generation} "

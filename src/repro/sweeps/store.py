@@ -1330,7 +1330,10 @@ class SweepStore:
           invisible until the atomic root swap; a merge killed before the
           swap leaves only orphans (collected by the next merge), killed
           after it leaves only superseded files (same).  Every key reads
-          identically before, during, and after.
+          identically before, during, and after for a reader that loads
+          the root after the swap; a reader still holding the previous
+          root (a store object whose manifest was loaded before it) sees
+          that root's records as missing once GC unlinks its files.
         - **concurrent-compactor-safe**: serialized by the same exclusive
           lock as :meth:`compact`; the loser skips.
         - **migration**: a v1-root store comes out the other side as a v2

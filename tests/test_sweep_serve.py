@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sweeps import ResultTable, SweepStore
+from repro.sweeps import ResultTable, SweepStore, segments
 from repro.sweeps.analysis import (
     crossover_payload,
     marginal_payload,
@@ -396,6 +396,127 @@ class TestConcurrency:
         _, _, body = get(base + "/csv")
         final = ResultTable.from_store(SweepStore(store.directory)).to_csv()
         assert body.decode("utf-8") == final
+
+    # The stress test above is probabilistic; the tests below pin its
+    # cause by forcing a merge at one exact point inside a view build.
+    # The merge garbage-collects the generation the build has started
+    # reading, so a view that served its build anyway would answer with
+    # records missing.
+
+    @staticmethod
+    def merge_on_first_call(monkeypatch, name: str, directory: Path,
+                          after: bool = False) -> None:
+        """Wrap ``segments.<name>`` so that its first call runs a merge of
+        ``directory`` (before the real call, or after it with ``after``)."""
+        real = getattr(segments, name)
+        calls: list[int] = []
+
+        def wrapped(*args, **kwargs):
+            first = not calls
+            calls.append(1)
+            if first and not after:
+                SweepStore(directory).merge()
+            result = real(*args, **kwargs)
+            if first and after:
+                SweepStore(directory).merge()
+            return result
+
+        monkeypatch.setattr(segments, name, wrapped)
+
+    def test_merge_mid_csv_build_serves_post_merge_bytes(
+        self, served, monkeypatch
+    ):
+        store, _, base = served
+        key, record = record_for(90)
+        store.put(key, record)
+        self.merge_on_first_call(
+            monkeypatch, "read_segment_sidecar", store.directory
+        )
+        status, _, body = get(base + "/csv")
+        want = ResultTable.from_store(SweepStore(store.directory)).to_csv()
+        assert status == 200
+        assert len(want.splitlines()) == 14
+        assert body.decode("utf-8") == want
+
+    def test_merge_mid_record_lookup_finds_the_record(
+        self, served, monkeypatch
+    ):
+        store, _, base = served
+        key, record = record_for(91)
+        store.put(key, record)
+        wanted, _ = record_for(3)
+        self.merge_on_first_call(
+            monkeypatch, "read_segment_record", store.directory
+        )
+        status, _, body = get(f"{base}/records/{wanted}")
+        assert status == 200
+        assert json.loads(body)["key"] == wanted
+
+    def test_merge_mid_stats_census_counts_every_record(
+        self, served, monkeypatch
+    ):
+        store, server, base = served
+        key, record = record_for(92)
+        store.put(key, record)
+        # The census loads the old manifest, then the merge seals the
+        # loose record: counted from both halves, it would vanish.
+        self.merge_on_first_call(
+            monkeypatch, "load_manifest", store.directory, after=True
+        )
+        status, headers, body = get(base + "/stats")
+        payload = json.loads(body)
+        assert status == 200
+        assert payload["sealed"] + payload["loose"] == 13
+        assert payload["etag"] == store_token(store.directory)
+        assert headers["ETag"] == f'"{payload["etag"]}"'
+
+    def test_ready_line_counts_every_record_under_a_merge(
+        self, tmp_path, monkeypatch
+    ):
+        store = filled_store(tmp_path / "store")
+        key, record = record_for(93)
+        store.put(key, record)
+        server = SweepServer(tmp_path / "store")
+        try:
+            self.merge_on_first_call(
+                monkeypatch, "load_manifest", store.directory, after=True
+            )
+            line = server.ready_line
+        finally:
+            server.server_close()
+        fields = dict(part.split("=", 1) for part in line.split()[2:])
+        assert fields["records"] == "13"
+        assert fields["etag"] == f'"{store_token(store.directory)}"'
+
+    def test_store_that_never_holds_still_is_503(
+        self, served, monkeypatch, caplog
+    ):
+        """A writer that never pauses cannot make a request wait forever:
+        past the settle deadline the daemon answers 503."""
+        import logging
+
+        from repro.sweeps import analysis, serve
+
+        store, _, base = served
+        real = analysis.ResultTable.from_store.__func__
+        writes = iter(range(100, 200))
+
+        def moving(cls, *args, **kwargs):
+            table = real(cls, *args, **kwargs)
+            key, record = record_for(next(writes))
+            store.put(key, record)
+            return table
+
+        monkeypatch.setattr(
+            analysis.ResultTable, "from_store", classmethod(moving)
+        )
+        monkeypatch.setattr(serve, "SETTLE_TIMEOUT_S", 0.0)
+        with caplog.at_level(logging.WARNING, logger="repro.sweeps.serve"):
+            status, headers, body = get(base + "/csv")
+        assert status == 503
+        assert "ETag" not in headers
+        assert "store unavailable" in json.loads(body)["error"]
+        assert any("held still" in r.message for r in caplog.records)
 
 
 # ---------------------------------------------------------------------------
