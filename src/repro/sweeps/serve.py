@@ -15,18 +15,24 @@ at its atomic manifest swap (or loose write) and every cache entry is
 dropped: the daemon keeps serving *correct* bytes while a fleet writes
 under it, it just pays one cold load per new generation.
 
-A view is served only from a build across which the store held still:
-after building its table (or its stats census) the view re-reads the
-token, and if the token moved -- a ``merge`` may have garbage-collected
-the very files the build was reading, a ``compact`` may have sealed
-loose records between the manifest load and the loose listing -- the
-build is discarded and the request starts over on a fresh view, before
-any byte of the response is sent.  Each discarded build means a writer
-published something, so retries end as soon as writers pause; a writer
-that never pauses is bounded by :data:`SETTLE_TIMEOUT_S`, past which the
-request is answered 503.  A ``/records/<key>`` hit is served whatever
-the timing (records are content-addressed); a miss is answered 404 only
-if the token held across the lookup.
+A view is served only from a build across which the store held still.
+A view reads exactly the state its token hashed: the manifest index it
+loads, and the loose files of the listing read with the token (a
+``put`` landing mid-build adds a file the view does not read, so it
+serves the store as it was, never a torn mix).  After building its
+table (or its stats census) the view re-reads the index identity and
+the loose listing; if the index moved or a listed loose file is gone --
+a ``merge`` may have garbage-collected the very files the build was
+reading, a ``compact`` may have sealed loose records between the
+manifest load and the loose reads -- the build is discarded, with the
+store warnings it raised, and the request starts over on a fresh view,
+before any byte of the response is sent.  Only ``merge`` and
+``compact`` discard builds, and each publishes once, so retries end as
+soon as those pause, however fast a fleet keeps putting; a store that
+merges or compacts without pause is bounded by :data:`SETTLE_TIMEOUT_S`,
+past which the request is answered 503.  A ``/records/<key>`` hit is
+served whatever the timing (records are content-addressed); a miss is
+answered 404 only if the store held still across the lookup.
 
 Endpoints (all ``GET``, all JSON unless noted):
 
@@ -63,6 +69,7 @@ it exactly like the ``RESUME``/``MERGE`` lines (see
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -86,7 +93,7 @@ from repro.sweeps.analysis import (
 from repro.sweeps.store import SweepStore
 
 if typing.TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterator
 
 T = typing.TypeVar("T")
 
@@ -104,10 +111,11 @@ DEFAULT_CSV_CHUNK_ROWS = 2048
 #: body-cached -- it streams from the cached table instead).
 DEFAULT_CACHE_PAYLOADS = 64
 
-#: Longest a request keeps retrying view builds that a writer tore
-#: before it is answered 503.  A deadline rather than a build count: how
-#: many builds a busy store tears says how fast the writers publish, not
-#: how long the client has waited.  60 s is the read timeout HTTP
+#: Longest a request keeps retrying view builds that a ``merge`` or
+#: ``compact`` tore before it is answered 503 (a ``put`` never tears
+#: one).  A deadline rather than a build count: how many builds a busy
+#: store tears says how fast the writers publish, not how long the
+#: client has waited.  60 s is the read timeout HTTP
 #: clients and proxies commonly default to (nginx ``proxy_read_timeout``,
 #: for one); a response later than that would reach nobody.
 SETTLE_TIMEOUT_S = 60.0
@@ -136,13 +144,20 @@ def store_token(directory: Path) -> str:
     missed, but loose records are content-addressed and written
     atomically, so that cannot happen through any store API.
     """
-    digest = hashlib.sha256()
+    return _StoreState.read(directory).token
+
+
+def _index_identity(directory: Path) -> str:
+    """The stat-level identity of the manifest root and every file under
+    ``manifest/``: the part of :func:`store_token` that only ``merge``
+    and ``compact`` move."""
+    lines = []
     root = directory / seg.MANIFEST_NAME
     try:
         info = root.stat()
-        digest.update(f"root:{info.st_mtime_ns}:{info.st_size}\n".encode())
+        lines.append(f"root:{info.st_mtime_ns}:{info.st_size}\n")
     except OSError:
-        digest.update(b"root:none\n")
+        lines.append("root:none\n")
     manifest_dir = directory / seg.MANIFEST_DIR_NAME
     try:
         manifest_files = sorted(manifest_dir.iterdir())
@@ -153,17 +168,36 @@ def store_token(directory: Path) -> str:
             info = path.stat()
         except OSError:
             continue
-        digest.update(
-            f"m:{path.name}:{info.st_mtime_ns}:{info.st_size}\n".encode()
-        )
-    loose = sorted(
+        lines.append(f"m:{path.name}:{info.st_mtime_ns}:{info.st_size}\n")
+    return "".join(lines)
+
+
+def _loose_names(directory: Path) -> tuple[str, ...]:
+    """Sorted loose-record filenames (the manifest root is not a record)."""
+    return tuple(sorted(
         path.name
         for path in directory.glob("*.json")
         if path.name != seg.MANIFEST_NAME
-    )
-    for name in loose:
-        digest.update(f"l:{name}\n".encode())
-    return digest.hexdigest()[:32]
+    ))
+
+
+class _StoreState(typing.NamedTuple):
+    """One read of the store's state: the index identity and the loose
+    listing that a view's builds read, and the token that hashes both."""
+
+    index: str
+    loose: tuple[str, ...]
+
+    @classmethod
+    def read(cls, directory: Path) -> "_StoreState":
+        return cls(_index_identity(directory), _loose_names(directory))
+
+    @property
+    def token(self) -> str:
+        digest = hashlib.sha256(self.index.encode())
+        for name in self.loose:
+            digest.update(f"l:{name}\n".encode())
+        return digest.hexdigest()[:32]
 
 
 class _StoreMoved(Exception):
@@ -174,30 +208,80 @@ class _StoreUnavailable(OSError):
     """The store cannot be served: gone, or never held still (HTTP 503)."""
 
 
+class _PinnedStore(SweepStore):
+    """A :class:`SweepStore` that reads only the loose files of one listing,
+    and can hold its warnings back until the read is known to be kept.
+
+    Pinning the listing means a ``put`` landing mid-build adds nothing the
+    build reads, so it cannot tear the build: the view serves exactly the
+    records its token hashed.  Warnings raised under :meth:`holding` go to
+    the caller's list instead of the log; a build the store tore is
+    thrown away with its warnings (a merge's GC makes a healthy store look
+    corrupt to a reader of the previous root), and a kept build
+    :meth:`publish`-es them.
+    """
+
+    def __init__(self, directory: Path, loose: tuple[str, ...]) -> None:
+        super().__init__(directory)
+        self._loose = loose
+        self._held = threading.local()
+
+    def loose_paths(self) -> "Iterator[Path]":
+        for name in self._loose:
+            yield self.directory / name
+
+    def _warn(self, dedup_key: str, message: str) -> None:
+        held = getattr(self._held, "warnings", None)
+        if held is None:
+            super()._warn(dedup_key, message)
+        else:
+            held.append((dedup_key, message))
+
+    @contextlib.contextmanager
+    def holding(self) -> "Iterator[list[tuple[str, str]]]":
+        """Collect this thread's store warnings into the yielded list."""
+        held: list[tuple[str, str]] = []
+        self._held.warnings = held
+        try:
+            yield held
+        finally:
+            self._held.warnings = None
+
+    def publish(self, held: "list[tuple[str, str]]") -> None:
+        for dedup_key, message in held:
+            super()._warn(dedup_key, message)
+
+
 class _StoreView:
     """One consistent, cache-carrying snapshot of the store.
 
-    A view is pinned to the generation token observed when it was
-    created: the lazily built :class:`ResultTable`, the stats census,
-    and every rendered payload it holds were all computed from that
-    state.  A build is kept only if the token still reads the same once
-    it is done; otherwise the store moved while the build read it (a
-    merge's GC can unlink the files a build is halfway through), the
-    build is discarded, and :class:`_StoreMoved` sends the request to a
-    fresh view.  The server swaps the whole view atomically when the
-    token moves, so a request never sees a table from one generation
-    with a cached aggregate from another.
+    A view is pinned to the store state read when it was created: its
+    store reads only the loose files of that state's listing, and the
+    lazily built :class:`ResultTable`, the stats census, and every
+    rendered payload it holds were all computed from that state.  A
+    build is kept only if the store held still across it: the index
+    identity (manifest root, shards, delta log) reads the same once the
+    build is done, and every loose file of the listing is still there.
+    Otherwise a ``merge`` or ``compact`` ran while the build read the
+    store (a merge's GC can unlink the files a build is halfway
+    through), the build is discarded with its warnings, and
+    :class:`_StoreMoved` sends the request to a fresh view.  A ``put``
+    only adds loose files the view does not read, so it never discards
+    a build.  The server swaps the whole view atomically when the token
+    moves, so a request never sees a table from one generation with a
+    cached aggregate from another.
     """
 
     def __init__(
-        self, directory: Path, token: str, cache_payloads: int
+        self, directory: Path, state: _StoreState, cache_payloads: int
     ) -> None:
-        self.token = token
-        self.etag = f'"{token}"'
+        self.state = state
+        self.token = state.token
+        self.etag = f'"{self.token}"'
         self.directory = directory
-        # A fresh SweepStore per view: its lazy manifest cache must not
+        # A fresh store per view: its lazy manifest cache must not
         # outlive the generation the view is pinned to.
-        self.store = SweepStore(directory)
+        self.store = _PinnedStore(directory, state.loose)
         self._cache_payloads = cache_payloads
         self._lock = threading.RLock()
         self._table: ResultTable | None = None
@@ -205,20 +289,34 @@ class _StoreView:
         self._moved = False
         self._payloads: "OrderedDict[tuple, bytes]" = OrderedDict()
 
-    def check_settled(self) -> None:
-        """Raise :class:`_StoreMoved` unless the token still reads as it
-        did when the view was created.  Once moved, a view stays moved:
-        every store mutation moves the token forward, never back."""
-        self._moved = self._moved or store_token(self.directory) != self.token
-        if self._moved:
-            raise _StoreMoved
+    def held_still(self) -> bool:
+        """Whether the store still holds the state this view reads.  Once
+        moved, a view stays moved: merges and compacts move the index
+        forward, never back."""
+        if not self._moved:
+            now = _StoreState.read(self.directory)
+            self._moved = now.index != self.state.index or not (
+                set(self.state.loose) <= set(now.loose)
+            )
+        return not self._moved
 
     def _settled(self, build: "Callable[[], T]") -> "T":
         """``build()``, kept only if the store held still across it."""
         if self._moved:
             raise _StoreMoved
-        value = build()
-        self.check_settled()
+        with self.store.holding() as held:
+            try:
+                value = build()
+            except OSError:
+                # A read that failed while the store moved is a torn
+                # build too; only a still store's failure is a 503.
+                if self.held_still():
+                    self.store.publish(held)
+                    raise
+                raise _StoreMoved from None
+        if not self.held_still():
+            raise _StoreMoved
+        self.store.publish(held)
         return value
 
     def table(self) -> ResultTable:
@@ -234,6 +332,20 @@ class _StoreView:
             if self._stats is None:
                 self._stats = self._settled(self.store.stats)
             return self._stats
+
+    def record(self, key: str) -> dict | None:
+        """The record for ``key``.  A hit is right whatever the timing
+        (records are content-addressed); a miss only if the store held
+        still across the lookup, else :class:`_StoreMoved`."""
+        with self.store.holding() as held:
+            record = self.store.get(key)
+        if record is not None and not held:
+            return record
+        if self.held_still():
+            self.store.publish(held)
+        elif record is None:
+            raise _StoreMoved
+        return record
 
     def payload(self, key: tuple, build: "Callable[[], dict]") -> bytes:
         """Rendered JSON body for ``key``, computed once per view."""
@@ -396,11 +508,8 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 400, "record keys are lowercase hex scenario addresses"
             )
             return
-        record = view.store.get(key)
+        record = view.record(key)
         if record is None:
-            # A hit is right whatever the timing (records are content-
-            # addressed); a miss only if no merge's GC ran under it.
-            view.check_settled()
             self._send_error_json(404, f"no record for key {key!r}")
             return
         body = json.dumps(record, sort_keys=True).encode("utf-8")
@@ -607,12 +716,12 @@ class SweepServer(ThreadingHTTPServer):
             raise _StoreUnavailable(
                 f"store directory {self.store_directory} disappeared"
             )
-        token = store_token(self.store_directory)
+        state = _StoreState.read(self.store_directory)
         with self._view_lock:
             view = self._view
-            if view is None or view.token != token:
+            if view is None or view.token != state.token:
                 view = _StoreView(
-                    self.store_directory, token, self.cache_payloads
+                    self.store_directory, state, self.cache_payloads
                 )
                 self._view = view
             return view
@@ -621,10 +730,10 @@ class SweepServer(ThreadingHTTPServer):
         """``read(view)`` on the current view, retried on a fresh view
         each time the store moves under it (:class:`_StoreMoved`).
 
-        Each retry means a writer published something, so the loop ends
-        once writers pause; past :data:`SETTLE_TIMEOUT_S` it raises
-        ``OSError`` (HTTP 503) instead, as it does when the store
-        directory is gone.
+        Each retry means a ``merge`` or ``compact`` published something
+        (a ``put`` never moves a view), so the loop ends once those
+        pause; past :data:`SETTLE_TIMEOUT_S` it raises ``OSError``
+        (HTTP 503) instead, as it does when the store directory is gone.
         """
         deadline = time.monotonic() + SETTLE_TIMEOUT_S
         while True:

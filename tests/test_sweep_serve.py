@@ -12,12 +12,15 @@ bytes -- stale caches are a correctness bug here, not a staleness
 nuisance.
 """
 
+import csv
 import hashlib
 import http.client
+import io
 import json
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -424,19 +427,26 @@ class TestConcurrency:
         monkeypatch.setattr(segments, name, wrapped)
 
     def test_merge_mid_csv_build_serves_post_merge_bytes(
-        self, served, monkeypatch
+        self, served, monkeypatch, caplog
     ):
+        import logging
+
         store, _, base = served
         key, record = record_for(90)
         store.put(key, record)
         self.merge_on_first_call(
             monkeypatch, "read_segment_sidecar", store.directory
         )
-        status, _, body = get(base + "/csv")
+        with caplog.at_level(logging.WARNING, logger="repro.sweeps.store"):
+            status, _, body = get(base + "/csv")
         want = ResultTable.from_store(SweepStore(store.directory)).to_csv()
         assert status == 200
         assert len(want.splitlines()) == 14
         assert body.decode("utf-8") == want
+        # The torn build's view of a healthy store ("manifest points at
+        # missing segment ...; recompact") is thrown away with the build.
+        assert not [r.message for r in caplog.records
+                    if r.name == "repro.sweeps.store"]
 
     def test_merge_mid_record_lookup_finds_the_record(
         self, served, monkeypatch
@@ -488,6 +498,58 @@ class TestConcurrency:
         assert fields["records"] == "13"
         assert fields["etag"] == f'"{store_token(store.directory)}"'
 
+    def test_reads_answer_promptly_while_a_fleet_keeps_putting(
+        self, served, tmp_path
+    ):
+        """A put adds a loose file that a view in flight does not read, so
+        it never discards a build: /csv, /stats and the ready line answer
+        at once, however fast puts land, and /csv renders whole exactly
+        the records its view's listing held."""
+        store, server, base = served
+        stop = threading.Event()
+        puts: list[int] = []
+
+        def fleet():
+            i = 300
+            while not stop.is_set():
+                key, record = record_for(i)
+                store.put(key, record)
+                puts.append(i)
+                i += 1
+
+        writer = threading.Thread(target=fleet)
+        writer.start()
+        try:
+            while len(puts) < 5:
+                time.sleep(0.001)
+            for attempt in range(3):
+                started = time.monotonic()
+                status, _, body = get(base + "/csv")
+                stats_status, _, stats = get(base + "/stats")
+                line = server.ready_line
+                assert time.monotonic() - started < 10.0
+                assert status == 200 and stats_status == 200
+                # The body is the 12 sealed records plus the puts that the
+                # view's listing held, rendered whole: the CSV of a store
+                # holding exactly those records.  (A directory listing
+                # taken while puts land may hold a later put and miss an
+                # earlier one, so the puts need not be a prefix.)
+                text = body.decode("utf-8")
+                seeds = [int(row["seed"])
+                         for row in csv.DictReader(io.StringIO(text))]
+                reference = filled_store(tmp_path / f"ref{attempt}",
+                                         merge=False)
+                for seed in seeds:
+                    if seed >= 1300:
+                        reference.put(*record_for(seed - 1000))
+                assert text == ResultTable.from_store(reference).to_csv()
+                assert json.loads(stats)["sealed"] == 12
+                assert " records=" in line
+        finally:
+            stop.set()
+            writer.join(timeout=30)
+        assert len(puts) > 5
+
     def test_store_that_never_holds_still_is_503(
         self, served, monkeypatch, caplog
     ):
@@ -505,6 +567,7 @@ class TestConcurrency:
             table = real(cls, *args, **kwargs)
             key, record = record_for(next(writes))
             store.put(key, record)
+            store.compact()
             return table
 
         monkeypatch.setattr(
