@@ -15,7 +15,7 @@ Perf trajectory: the speedup-gate modules (``test_perf_noisy_shots``,
 ``test_perf_store_load``) report their measured timings through
 :func:`record_perf`; when ``PERF_JSON`` is set in the environment, the
 session writes every entry to that path as machine-readable JSON.  CI's
-``perf-trajectory`` job uploads the file (``BENCH_4.json``) as a workflow
+``perf-trajectory`` job uploads the file (``BENCH_RUN.json``) as a workflow
 artifact, so the perf numbers are tracked per-PR instead of living and
 dying inside a log.
 """

@@ -18,7 +18,7 @@ byte-identically between the two modes -- the speedup is inadmissible if
 it changes a single compilation.  Timings are best-of-N so scheduler
 noise cannot flake the gate, and the measurement is reported through
 :func:`record_perf` for the committed perf trajectory
-(``BENCH_6.json``, compared by ``tools/bench_trajectory.py`` in CI).
+(``BENCH_8.json``, compared by ``tools/bench_trajectory.py`` in CI).
 """
 
 import time

@@ -114,7 +114,6 @@ def _packed_store(directory) -> SweepStore:
         schema_version=SCHEMA_VERSION,
         engine_version=__version__,
         generation=1,
-        manifest_version=seg.MANIFEST_VERSION,
     )
     assert seg.write_manifest(directory, manifest)
     return SweepStore(directory)

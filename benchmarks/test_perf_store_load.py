@@ -1,13 +1,13 @@
 """Packed-segment store load gate: sealed segments vs. loose per-file JSON.
 
-The acceptance bar for the segment backend (PR 4): loading a >= 10^4-record
+The acceptance bar for the segment backend: loading a >= 10^4-record
 store through ``ResultTable.from_store`` must be **at least 10x faster**
 when the store is compacted than when every record is its own JSON file --
-that is the difference that makes million-record sweep analyses (the
-ROADMAP's "Columnar store backend" item) interactive instead of
-minutes-long.  The mechanism under test is the segment's columnar block:
-one read + one parse per segment materializes analysis columns without
-opening a single per-record file or building a single per-record dict.
+that is the difference that makes million-record sweep analyses
+interactive instead of minutes-long.  The mechanism under test is the
+segment's binary columnar sidecar: one memory map per segment serves
+analysis columns (numeric ones as zero-copy NumPy views) without opening
+a single per-record file or parsing a single per-record dict.
 
 Alongside the speed gate, the parity gates assert what makes the speedup
 trustworthy: the loose, compacted, and half-compacted (mixed) forms of the

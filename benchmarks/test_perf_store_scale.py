@@ -105,7 +105,6 @@ def big_store(tmp_path_factory):
         schema_version=SCHEMA_VERSION,
         engine_version=__version__,
         generation=1,
-        manifest_version=seg.MANIFEST_VERSION,
     )
     assert seg.write_manifest(directory, manifest)
     # One publication on top of the checkpoint, so readers replay a
@@ -176,7 +175,6 @@ def test_incremental_publish_at_least_5x_faster_than_checkpoint(
             schema_version=SCHEMA_VERSION,
             engine_version=__version__,
             generation=1,
-            manifest_version=seg.MANIFEST_VERSION,
         )
         assert seg.write_manifest(scratch_checkpoint, full)
 

@@ -52,9 +52,9 @@ Components
   by merge), so publishing a segment costs O(new records) rather than
   O(store).  Resume semantics are untouched (corrupt or truncated data
   reads as missing-with-warning), but a full-store load becomes
-  O(segments) bulk reads, and each segment's columnar block lets
-  ``ResultTable.from_store`` materialize analysis columns without building
-  per-record dicts (~10x+ faster at 10^4 records).
+  O(segments) bulk reads, and each segment's memory-mapped binary
+  columnar sidecar lets ``ResultTable.from_store`` serve analysis columns
+  without building per-record dicts (~10x+ faster at 10^4 records).
   :meth:`SweepStore.merge` rewrites accumulated small segments into large
   generation-tagged ones, checkpoints the manifest, and garbage-collects
   superseded files -- idempotent and kill-safe.

@@ -69,15 +69,14 @@ evaluation chunk as it completes instead.
 ``merge`` folds a store down to one fresh generation: loose records are
 sealed, small segments rewrite into large generation-tagged ones, the
 manifest delta log is checkpointed into fresh key-prefix shards, and
-everything superseded is garbage-collected.  Idempotent, kill-safe at
-every point, and the one-shot migration path for manifest-v1 stores.
-Prints one stable ``MERGE sealed=... merged=... generation=...`` line.
-``--merge`` on a sweep run merges once the sweep finishes; ``merge
---jobs N`` rewrites the merged segments over a process pool
-(byte-identical output); ``--merge-every N`` on a run or worker folds
-segments *mid-sweep* whenever the pending manifest delta count reaches
-N, electing at most one merger at a time through the exclusive merge
-lock.
+everything superseded is garbage-collected.  Idempotent and kill-safe at
+every point.  Prints one stable ``MERGE sealed=... merged=...
+generation=...`` line.  ``--merge`` on a sweep run merges once the
+sweep finishes; ``merge --jobs N`` rewrites the merged segments over a
+process pool (byte-identical output); ``--merge-every N`` on a run or
+worker folds segments *mid-sweep* whenever the pending manifest delta
+count reaches N, electing at most one merger at a time through the
+exclusive merge lock.
 
 ``stats`` prints the store census -- one stable ``STATS loose=... ``
 line plus a human-readable summary -- without running anything;
@@ -303,8 +302,7 @@ def _merge_main(argv: list[str]) -> int:
         "loose records, rewrite small segments into large "
         "generation-tagged ones, checkpoint the manifest delta log into "
         "fresh shards, and garbage-collect superseded files.  Idempotent "
-        "and kill-safe; also the one-shot migration path for "
-        "manifest-v1 stores.  Prints one stable 'MERGE sealed=N merged=M "
+        "and kill-safe.  Prints one stable 'MERGE sealed=N merged=M "
         "segments=S generation=G gc_segments=X gc_manifest=Y' line for "
         "scripts to grep (see docs/store-format.md).",
     )

@@ -118,7 +118,7 @@ def canonical_order(names: "Iterable[str]") -> list[str]:
     Identity columns first (fixed order), then axis/extra columns sorted
     by name, then the metric columns (fixed order).  Shared by every
     producer of unified rows -- :meth:`ResultTable.from_rows`, the packed
-    segment columnar blocks, and the store's bulk loader -- so any two
+    segments' columnar sidecars, and the store's bulk loader -- so any two
     paths over the same records agree column-for-column (and therefore
     byte-for-byte in CSV output).
     """
@@ -135,8 +135,8 @@ def record_row(record: "Mapping") -> dict:
 
     The single definition of the record -> row mapping: used by
     :meth:`ResultTable.from_records` at load time and by
-    :mod:`repro.sweeps.segments` when sealing a segment's columnar block,
-    so a packed store and its loose twin flatten identically.
+    :mod:`repro.sweeps.segments` when sealing a segment's columnar
+    sidecar, so a packed store and its loose twin flatten identically.
     """
     scenario = record.get("scenario") or {}
     row: dict = {
@@ -308,13 +308,12 @@ class ResultTable:
         """Load every readable record of ``store`` in key order.
 
         Stores holding packed segments (see :meth:`SweepStore.compact`)
-        take the bulk fast path: segments with binary columnar sidecars
-        are memory-mapped into zero-copy NumPy views (no JSON parse at
-        all; gated >=5x over the JSON block at 10^5 records in
-        ``benchmarks/test_perf_store_mmap.py``), sidecar-less segments
-        parse their JSON columnar block in one read (~10x+ over loose at
-        10^4 records, ``benchmarks/test_perf_store_load.py``) -- and both
-        are identical, down to the CSV bytes, to the loose per-file path.
+        take the bulk fast path: each segment's binary columnar sidecar
+        is memory-mapped into zero-copy NumPy views (no JSON parse at
+        all; gated >=10x over loose at 10^4 records in
+        ``benchmarks/test_perf_store_load.py``), a segment whose sidecar
+        is missing or damaged is read by its frame scan -- and both are
+        identical, down to the CSV bytes, to the loose per-file path.
         Merged (generation-tagged) and freshly sealed segments read the
         same way; :meth:`SweepStore.merge` never changes these bytes.
         Pure loose stores stream through :meth:`SweepStore.records`.

@@ -13,22 +13,12 @@ Segment layout (``segment-NNNNNN.seg``, UTF-8 bytes)::
     REC <key> <nbytes> <checksum16>\\n                           one frame
     <payload bytes>\\n                                             per record
     ...
-    COL <nbytes> <checksum16>\\n                                 columnar
-    <columnar payload bytes>\\n                                    block
     END <count> <keys_checksum16>\\n                             seal footer
 
 - Every **record frame** carries the full record payload in the store's
   canonical JSON bytes (:func:`repro.core.serialize.canonical_dumps`), so a
   random-access read returns exactly the dict the loose file held --
   ``--resume`` stays byte-for-byte exact.
-- The **columnar block** holds the same records flattened to the unified
-  analysis row schema (:func:`repro.sweeps.analysis.record_row`) as
-  ``{"keys": [...], "names": [...], "columns": {name: [...]}}``: one
-  ``json.loads`` materializes an entire segment's worth of
-  :class:`~repro.sweeps.analysis.ResultTable` columns without building a
-  single per-record dict.  That block is what makes ``ResultTable.from_store``
-  on a compacted store ~10x+ faster than the loose path (gated in
-  ``benchmarks/test_perf_store_load.py``).
 - The **footer** seals the segment.  A missing or malformed footer, a
   truncated tail, or a frame whose checksum disagrees degrades to
   *missing-with-warning* for the affected records -- exactly how a
@@ -59,25 +49,25 @@ pieces so publishing N new records costs O(N), not O(store):
   over the shard contents; a torn or corrupt line is skipped with a
   warning (its segment stays orphaned until the next merge).
 
-Each sealed segment may be shadowed by a **binary columnar sidecar**
-(``segment-*.cols``): the same columnar block re-encoded as checksummed
+Each sealed segment is shadowed by a **binary columnar sidecar**
+(``segment-*.cols``), the store's one columnar format: the segment's
+records flattened to the unified analysis row schema
+(:func:`repro.sweeps.analysis.record_row`) and encoded as checksummed
 little-endian typed arrays (int64/float64 + null bitmaps, offset-indexed
 UTF-8 string pools) that ``analysis_columns()`` memory-maps and serves as
 zero-copy NumPy views -- no JSON parse at all on the bulk-read path.
 Sidecars are strictly an acceleration layer: they are registered in the
-manifest (``sidecar_length``/``sidecar_checksum``, optional fields), a
-store without them reads exactly as before, and a corrupt or missing
-sidecar degrades to the JSON columnar block, then to the tolerant frame
-scan, through the same warn-once ladder as every other corruption.
+manifest (``sidecar_length``/``sidecar_checksum``), and a corrupt or
+missing sidecar degrades to the tolerant frame scan through the same
+warn-once ladder as every other corruption, serving the same CSV bytes.
 
 A **checkpoint** (:func:`write_manifest`) folds everything into fresh
 shard files at a new generation and swaps the root -- the swap is the only
-commit point, exactly as the v1 monolithic rewrite was.  **Merging**
+commit point.  **Merging**
 (:meth:`~repro.sweeps.store.SweepStore.merge`) rewrites small segments
 into large generation-tagged ``segment-gGGGG-NNNNNN.seg`` files,
 checkpoints, and garbage-collects everything the new root no longer
-references.  v1 roots still load (read-only) through the same
-:func:`load_manifest`; one merge migrates them to v2.
+references.  A root of any other manifest version reads as unsupported.
 
 Compaction is equally safe under concurrent distributed *claimers*
 (:mod:`repro.sweeps.distributed`): lease files live in the store's
@@ -93,7 +83,6 @@ The byte-level layout of every structure here is specified normatively in
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import mmap
 import os
@@ -101,9 +90,10 @@ import re
 import struct
 import typing
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from repro.core.serialize import canonical_dumps, short_checksum
 from repro.pipeline.cache import atomic_write_bytes
@@ -136,15 +126,13 @@ __all__ = [
     "next_segment_name",
     "pack_segment",
     "pack_sidecar",
-    "read_segment_columns",
+    "read_root",
     "read_segment_record",
     "read_segment_sidecar",
     "segment_generation",
     "shard_file_name",
     "shard_id",
     "sidecar_name",
-    "sidecars_enabled",
-    "use_sidecars",
     "write_manifest",
     "write_segment",
 ]
@@ -193,19 +181,13 @@ class SegmentEntry:
 
 @dataclass(frozen=True)
 class SegmentColumns:
-    """Manifest pointer to one segment's columnar analysis block.
+    """Manifest census of one segment: its record count and its binary
+    columnar sidecar (``segment-*.cols``).
 
-    ``sidecar_length``/``sidecar_checksum`` describe the segment's binary
-    columnar sidecar (``segment-*.cols``) when one was written: a length
-    of 0 means "no sidecar" (pre-sidecar stores, or the write was skipped/
-    failed), and readers then use the JSON columnar block exactly as
-    before -- both fields are optional on disk, so v2 manifests from
-    older engines parse unchanged.
+    A ``sidecar_length`` of 0 means "no sidecar" (its write failed, or
+    the segment predates sidecars); readers then take the frame scan.
     """
 
-    offset: int
-    length: int
-    checksum: str
     count: int
     sidecar_length: int = 0
     sidecar_checksum: str = ""
@@ -222,11 +204,7 @@ class Manifest:
         engine_version: package version that sealed them (sealed records
             are generation-checked exactly like loose ones).
         generation: checkpoint counter; bumped by every checkpoint
-            (:func:`write_manifest`), left alone by delta appends.  v1
-            roots load as generation 0.
-        manifest_version: on-disk root format this index was loaded from
-            (or will be written as); v1 indexes are read-only -- the first
-            compaction or merge checkpoints them forward to v2.
+            (:func:`write_manifest`), left alone by delta appends.
         shard_count: non-empty key-prefix shards behind the root.
         delta_records: delta-log lines replayed on top of the checkpoint
             (0 right after a checkpoint; what :meth:`SweepStore.merge`
@@ -238,7 +216,6 @@ class Manifest:
     schema_version: int
     engine_version: str
     generation: int = 0
-    manifest_version: int = MANIFEST_VERSION
     shard_count: int = 0
     delta_records: int = 0
 
@@ -294,30 +271,6 @@ def segment_generation(name: str) -> int:
 # ``sidecar_checksum``, so readers verify once and then trust every
 # buffer.  Full normative spec in ``docs/store-format.md``.
 
-#: Process-wide sidecar switch: ``REPRO_NO_SIDECARS=1`` disables writing
-#: sidecars at seal/merge time (reads still use any already on disk).
-_sidecars_active: bool = os.environ.get("REPRO_NO_SIDECARS", "") != "1"
-
-
-def sidecars_enabled() -> bool:
-    """True when seal/merge should write binary columnar sidecars."""
-    return _sidecars_active
-
-
-@contextmanager
-def use_sidecars(active: bool = True) -> "Iterator[None]":
-    """Temporarily enable (or disable) sidecar writing process-wide --
-    the benchmark baseline and parity-test switch, mirroring
-    :func:`repro.utils.kernels.use_reference_kernels`."""
-    global _sidecars_active
-    previous = _sidecars_active
-    _sidecars_active = bool(active)
-    try:
-        yield
-    finally:
-        _sidecars_active = previous
-
-
 def sidecar_name(segment_name: str) -> str:
     """The binary columnar sidecar file backing one segment file."""
     if segment_name.endswith(".seg"):
@@ -332,7 +285,7 @@ class LazyColumn:
     values decode once through ``load`` and are cached.  ``materialize``
     always returns pure-Python values (never NumPy scalars), which is
     what keeps downstream ``ResultTable`` aggregation and CSV bytes
-    identical to the JSON columnar path.
+    identical to the frame-scan path.
     """
 
     __slots__ = ("_length", "_load", "_values")
@@ -378,15 +331,13 @@ def materialize_column(values) -> list:
 def pack_sidecar(
     keys: "Sequence[str]", names: "Sequence[str]", columns: "Mapping[str, list]"
 ) -> bytes:
-    """Encode one segment's columnar block as binary sidecar bytes.
+    """Encode one segment's analysis columns as binary sidecar bytes.
 
     Deterministic for a given block (keys first, then columns in ``names``
     order), so re-sealing the same records yields byte-identical sidecars.
-    Raises on anything unencodable (callers then simply skip the sidecar;
-    the JSON block remains authoritative).
+    Raises on anything unencodable (callers then publish the segment
+    without a sidecar; its record frames remain authoritative).
     """
-    import numpy as np
-
     count = len(keys)
     payload = bytearray()
 
@@ -439,8 +390,8 @@ def pack_sidecar(
             }
         else:
             # Mixed int/float, big ints, nested values: fall back to one
-            # canonical-JSON list, which is exact for anything the JSON
-            # columnar block itself can hold (nulls included).
+            # canonical-JSON list, which is exact for any JSON value
+            # (nulls included).
             blob = canonical_dumps(list(values)).encode("utf-8")
             return {"kind": "j", "data": add(blob)}
         if nulls is not None:
@@ -473,16 +424,11 @@ def read_segment_sidecar(
     decodes on first touch.  Returns ``{"keys", "names", "columns",
     "first_key", "last_key", "count"}``, or None (with one warning) on
     any integrity or decode failure -- callers then fall back to the
-    JSON columnar block, which falls back to the frame scan: the same
-    degradation ladder every other corruption takes.
+    frame scan: the same degradation ladder every other corruption takes.
     """
     if columns.sidecar_length <= 0:
         return None
     name = path.name
-    try:
-        import numpy as np
-    except ImportError:
-        return None
     try:
         with open(path, "rb") as handle:
             try:
@@ -493,7 +439,7 @@ def read_segment_sidecar(
         warn(
             f"{name}:sidecar",
             f"sweep store: columnar sidecar {name} is unreadable ({exc}); "
-            f"falling back to the JSON columnar block",
+            f"falling back to the record frames",
         )
         return None
     if (
@@ -503,7 +449,7 @@ def read_segment_sidecar(
         warn(
             f"{name}:sidecar",
             f"sweep store: columnar sidecar {name} fails its checksum; "
-            f"falling back to the JSON columnar block",
+            f"falling back to the record frames",
         )
         return None
     try:
@@ -602,7 +548,7 @@ def read_segment_sidecar(
         warn(
             f"{name}:sidecar",
             f"sweep store: columnar sidecar {name} is malformed; "
-            f"falling back to the JSON columnar block",
+            f"falling back to the record frames",
         )
         return None
 
@@ -612,18 +558,18 @@ def read_segment_sidecar(
 
 def pack_segment(
     records: "Sequence[dict]",
-) -> tuple[bytes, list[tuple[str, int, int, str]], SegmentColumns, dict]:
+) -> tuple[bytes, list[tuple[str, int, int, str]], dict]:
     """Encode sealed ``records`` into one segment byte blob.
 
     Records must already be store-stamped (``key``/``schema_version``/
     ``engine_version`` present) and are framed in the given order; callers
-    sort by key first so a sealed segment's frames -- and its columnar
-    block -- are in ascending key order.
+    sort by key first so a sealed segment's frames -- and its sidecar
+    columns -- are in ascending key order.
 
-    Returns ``(blob, frames, columns, block)`` where ``frames`` holds one
+    Returns ``(blob, frames, block)`` where ``frames`` holds one
     ``(key, payload_offset, payload_length, checksum)`` tuple per record
-    and ``block`` is the un-serialized ``{"keys", "names", "columns"}``
-    columnar mapping (what :func:`pack_sidecar` encodes).
+    and ``block`` is the ``{"keys", "names", "columns"}`` columnar mapping
+    of the records' analysis rows (what :func:`pack_sidecar` encodes).
     """
     from repro import __version__
     from repro.sweeps.analysis import record_row, canonical_order
@@ -653,26 +599,14 @@ def pack_segment(
 
     rows = [record_row(record) for record in records]
     names = canonical_order({name for row in rows for name in row})
-    block_data = {
+    block = {
         "keys": keys,
         "names": names,
         "columns": {n: [row.get(n) for row in rows] for n in names},
     }
-    block = canonical_dumps(block_data).encode("utf-8")
-    block_checksum = short_checksum(block)
-    col_header = f"COL {len(block)} {block_checksum}\n".encode("utf-8")
-    parts.append(col_header)
-    columns = SegmentColumns(
-        offset=pos + len(col_header),
-        length=len(block),
-        checksum=block_checksum,
-        count=len(records),
-    )
-    parts.append(block)
-    parts.append(b"\n")
     keys_checksum = short_checksum(",".join(keys))
     parts.append(f"END {len(keys)} {keys_checksum}\n".encode("utf-8"))
-    return b"".join(parts), frames, columns, block_data
+    return b"".join(parts), frames, block
 
 
 def next_segment_name(directory: Path) -> str:
@@ -729,13 +663,12 @@ def write_segment(
     Returns None when the filesystem refuses the write (or an explicit
     ``name`` already exists).
 
-    When sidecars are enabled (:func:`sidecars_enabled`), the segment's
-    binary columnar sidecar is written beside it and its length/checksum
-    stamped into the returned :class:`SegmentColumns`; any sidecar
-    failure publishes the segment without one -- the JSON block is always
-    authoritative.
+    The segment's binary columnar sidecar is written beside it and its
+    length/checksum stamped into the returned :class:`SegmentColumns`; a
+    sidecar failure publishes the segment without one -- the record
+    frames are always authoritative.
     """
-    blob, frames, columns, block_data = pack_segment(records)
+    blob, frames, block = pack_segment(records)
     if name is not None:
         try:
             (directory / name).touch(exist_ok=False)
@@ -756,24 +689,22 @@ def write_segment(
             return None
     if not atomic_write_bytes(directory / name, blob):
         return None
-    if sidecars_enabled():
-        try:
-            side = pack_sidecar(
-                block_data["keys"], block_data["names"], block_data["columns"]
-            )
-        except (ImportError, OverflowError, TypeError, ValueError):
-            side = None
-        # The sidecar write goes through the same atomic_write_bytes as
-        # every other durable write, so crash-injection harnesses cover
-        # it; a plain failure (False) just publishes without a sidecar.
-        if side is not None and atomic_write_bytes(
-            directory / sidecar_name(name), side
-        ):
-            columns = dataclasses.replace(
-                columns,
-                sidecar_length=len(side),
-                sidecar_checksum=short_checksum(side),
-            )
+    columns = SegmentColumns(count=len(frames))
+    try:
+        side = pack_sidecar(block["keys"], block["names"], block["columns"])
+    except (OverflowError, TypeError, ValueError):
+        side = None
+    # The sidecar write goes through the same atomic_write_bytes as every
+    # other durable write, so crash-injection harnesses cover it; a plain
+    # failure (False) just publishes without a sidecar.
+    if side is not None and atomic_write_bytes(
+        directory / sidecar_name(name), side
+    ):
+        columns = SegmentColumns(
+            count=len(frames),
+            sidecar_length=len(side),
+            sidecar_checksum=short_checksum(side),
+        )
     entries = [
         SegmentEntry(key=k, segment=name, offset=o, length=n, checksum=c)
         for k, o, n, c in frames
@@ -839,7 +770,8 @@ def iter_segment_records(
         if text.startswith("END "):
             return
         if text.startswith("COL "):
-            # Skip over the columnar block to reach the footer.
+            # Segments sealed by older engines carry a JSON columnar
+            # block before the footer; skip it.
             parts = text.split()
             if len(parts) != 3 or not parts[1].isdigit():
                 warn(
@@ -928,71 +860,13 @@ def read_segment_record(
     return record if isinstance(record, dict) else None
 
 
-def read_segment_columns(
-    path: Path, columns: SegmentColumns, warn: "WarnFn" = _default_warn
-) -> dict | None:
-    """Load one segment's columnar block (the bulk-analysis fast path).
-
-    One seek + one read + one ``json.loads`` per segment.  Returns the
-    ``{"keys", "names", "columns"}`` mapping, or None (with a warning) on
-    any integrity failure -- callers then fall back to the per-frame scan,
-    which salvages whatever records are intact.
-    """
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(columns.offset)
-            block = handle.read(columns.length)
-    except OSError as exc:
-        warn(
-            f"{path.name}:missing",
-            f"sweep store: manifest points at unreadable segment "
-            f"{path.name} ({exc}); its records read as missing",
-        )
-        return None
-    if len(block) < columns.length or short_checksum(block) != columns.checksum:
-        warn(
-            f"{path.name}:columns",
-            f"sweep store: columnar block of {path.name} fails its "
-            f"checksum; falling back to the record frames",
-        )
-        return None
-    try:
-        parsed = json.loads(block)
-    except json.JSONDecodeError:
-        warn(
-            f"{path.name}:columns",
-            f"sweep store: columnar block of {path.name} is not valid "
-            f"JSON; falling back to the record frames",
-        )
-        return None
-    if (
-        not isinstance(parsed, dict)
-        or not isinstance(parsed.get("keys"), list)
-        or not isinstance(parsed.get("names"), list)
-        or not isinstance(parsed.get("columns"), dict)
-    ):
-        warn(
-            f"{path.name}:columns",
-            f"sweep store: columnar block of {path.name} has an unexpected "
-            f"shape; falling back to the record frames",
-        )
-        return None
-    return parsed
-
-
 # -- manifest ------------------------------------------------------------------
 
 
 def _columns_payload(columns: SegmentColumns) -> dict:
     """Serialize one :class:`SegmentColumns` for the root or a delta line;
-    sidecar keys are emitted only when a sidecar exists, keeping
-    sidecar-free manifests byte-identical to pre-sidecar engines."""
-    payload = {
-        "count": columns.count,
-        "columns_offset": columns.offset,
-        "columns_length": columns.length,
-        "columns_checksum": columns.checksum,
-    }
+    sidecar keys are emitted only when a sidecar exists."""
+    payload: dict = {"count": columns.count}
     if columns.sidecar_length > 0:
         payload["sidecar_length"] = columns.sidecar_length
         payload["sidecar_checksum"] = columns.sidecar_checksum
@@ -1013,25 +887,18 @@ def _parse_entries(raw: dict) -> dict:
     }
 
 
-def _parse_segments(raw: dict) -> dict:
-    """``{name: {count, columns_*}}`` -> :class:`SegmentColumns` mapping.
+def _parse_columns(spec: dict) -> SegmentColumns:
+    """``{count, sidecar_*}`` -> :class:`SegmentColumns`.
 
-    The ``sidecar_*`` keys are optional (absent on pre-sidecar manifests
-    and on segments whose sidecar write was skipped), defaulting to "no
-    sidecar" -- which is also how unknown-to-older-engines forward
-    compatibility works: old readers simply ignore the extra keys.
+    The ``sidecar_*`` keys are optional (absent on segments whose sidecar
+    write failed), defaulting to "no sidecar"; the ``columns_*`` keys of
+    manifests written by older engines are ignored.
     """
-    return {
-        name: SegmentColumns(
-            offset=int(spec["columns_offset"]),
-            length=int(spec["columns_length"]),
-            checksum=str(spec["columns_checksum"]),
-            count=int(spec["count"]),
-            sidecar_length=int(spec.get("sidecar_length", 0)),
-            sidecar_checksum=str(spec.get("sidecar_checksum", "")),
-        )
-        for name, spec in raw.items()
-    }
+    return SegmentColumns(
+        count=int(spec["count"]),
+        sidecar_length=int(spec.get("sidecar_length", 0)),
+        sidecar_checksum=str(spec.get("sidecar_checksum", "")),
+    )
 
 
 def _replay_delta(
@@ -1095,15 +962,7 @@ def _replay_delta(
             continue
         try:
             segment = str(payload["segment"])
-            columns = payload["columns"]
-            segments[segment] = SegmentColumns(
-                offset=int(columns["columns_offset"]),
-                length=int(columns["columns_length"]),
-                checksum=str(columns["columns_checksum"]),
-                count=int(columns["count"]),
-                sidecar_length=int(columns.get("sidecar_length", 0)),
-                sidecar_checksum=str(columns.get("sidecar_checksum", "")),
-            )
+            segments[segment] = _parse_columns(payload["columns"])
             for key, spec in payload["entries"].items():
                 entries[key] = SegmentEntry(
                     key=key,
@@ -1124,20 +983,57 @@ def _replay_delta(
     return applied
 
 
-def _load_manifest_v2(
-    directory: Path, data: dict, warn: "WarnFn"
-) -> Manifest | None:
-    """Assemble a v2 index: root -> shards -> delta replay."""
+def read_root(directory: Path) -> dict | None:
+    """The parsed ``MANIFEST.json`` root object; None when it is absent,
+    unreadable, or not a JSON object."""
+    try:
+        data = json.loads((directory / MANIFEST_NAME).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    return data if isinstance(data, dict) else None
+
+
+def load_manifest(directory: Path, warn: "WarnFn" = _default_warn) -> Manifest | None:
+    """Read the store's manifest; None when absent or unreadable.
+
+    Assembles the index from the root, its shards, and a delta replay.
+    An unreadable or malformed root, or one of any version but
+    :data:`MANIFEST_VERSION`, degrades exactly like a corrupt record: the
+    sealed records it points at read as missing-with-warning (loose
+    records are unaffected).
+    """
+    path = directory / MANIFEST_NAME
+    if not path.exists():
+        return None
+    data = read_root(directory)
+    if data is None:
+        warn(
+            f"{MANIFEST_NAME}:unreadable",
+            f"sweep store: unreadable manifest {path.name}; sealed records "
+            f"read as missing until the next compaction",
+        )
+        return None
+    version = data.get("manifest_version")
+    if version != MANIFEST_VERSION:
+        warn(
+            f"{MANIFEST_NAME}:version",
+            f"sweep store: manifest {path.name} has unsupported version "
+            f"{version!r}; sealed records read as missing",
+        )
+        return None
     try:
         generation = int(data.get("generation") or 0)
         shards = data.get("shards") or {}
-        segments = _parse_segments(data.get("segments") or {})
+        segments = {
+            name: _parse_columns(spec)
+            for name, spec in (data.get("segments") or {}).items()
+        }
         delta_name = str(data.get("delta") or delta_log_name(generation))
     except (KeyError, TypeError, ValueError, AttributeError):
         warn(
             f"{MANIFEST_NAME}:malformed",
             f"sweep store: malformed manifest {MANIFEST_NAME}; sealed "
-            f"records read as missing until the next compaction",
+            f"records read as missing",
         )
         return None
     entries: dict = {}
@@ -1192,61 +1088,8 @@ def _load_manifest_v2(
         schema_version=data.get("schema_version"),
         engine_version=data.get("engine_version"),
         generation=generation,
-        manifest_version=MANIFEST_VERSION,
         shard_count=shard_count,
         delta_records=delta_records,
-    )
-
-
-def load_manifest(directory: Path, warn: "WarnFn" = _default_warn) -> Manifest | None:
-    """Read the store's manifest; None when absent or unreadable.
-
-    Dispatches on the root's ``manifest_version``: v1 monolithic roots
-    load read-only (their first compaction or merge checkpoints them to
-    v2), v2 roots assemble from shards plus delta replay.  An unreadable
-    or malformed root degrades exactly like a corrupt record: the sealed
-    records it pointed at read as missing-with-warning (loose records are
-    unaffected), and the next compaction rebuilds it.
-    """
-    path = directory / MANIFEST_NAME
-    if not path.exists():
-        return None
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        warn(
-            f"{MANIFEST_NAME}:unreadable",
-            f"sweep store: unreadable manifest {path.name} ({exc}); "
-            f"sealed records read as missing until the next compaction",
-        )
-        return None
-    version = data.get("manifest_version") if isinstance(data, dict) else None
-    if version == MANIFEST_VERSION:
-        return _load_manifest_v2(directory, data, warn)
-    if version != 1:
-        warn(
-            f"{MANIFEST_NAME}:version",
-            f"sweep store: manifest {path.name} has unsupported version "
-            f"{version!r}; sealed records read as missing",
-        )
-        return None
-    try:
-        entries = _parse_entries(data.get("entries") or {})
-        segments = _parse_segments(data.get("segments") or {})
-    except (KeyError, IndexError, TypeError, ValueError):
-        warn(
-            f"{MANIFEST_NAME}:malformed",
-            f"sweep store: malformed manifest {path.name}; sealed records "
-            f"read as missing until the next compaction",
-        )
-        return None
-    return Manifest(
-        entries=entries,
-        segments=segments,
-        schema_version=data.get("schema_version"),
-        engine_version=data.get("engine_version"),
-        generation=int(data.get("generation") or 0),
-        manifest_version=1,
     )
 
 
@@ -1259,7 +1102,7 @@ def write_manifest(directory: Path, manifest: Manifest) -> bool:
     but before the root swap leaves only unreferenced files (the old root
     still points at the old generation's shards; the next merge
     garbage-collects the strays).  Readers see either the old index or
-    the new one, never a mix, exactly like the v1 monolithic rename.
+    the new one, never a mix.
     """
     manifest_dir = directory / MANIFEST_DIR_NAME
     try:

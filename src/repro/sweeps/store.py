@@ -12,8 +12,8 @@ same store directory:
   checksummed, length-prefixed segment files produced by
   :meth:`SweepStore.compact`, indexed by an atomically-swapped manifest.
   Ideal for load: a million-record analysis is O(segments) bulk reads
-  instead of O(records) file opens, and each segment carries a columnar
-  block that materializes :class:`~repro.sweeps.analysis.ResultTable`
+  instead of O(records) file opens, and each segment's memory-mapped
+  binary columnar sidecar serves :class:`~repro.sweeps.analysis.ResultTable`
   columns without per-record parsing.
 
 Both backends answer :meth:`get`/:meth:`records` identically (loose wins
@@ -73,6 +73,8 @@ import uuid
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from repro.core.serialize import canonical_dumps
 from repro.pipeline.cache import atomic_write_text
@@ -587,11 +589,18 @@ class SweepStore:
         back).
 
         Atomicity: creation is ``O_CREAT | O_EXCL``, so exactly one of any
-        number of racing claimers wins.  Reclaiming an expired lease first
-        *renames* it to a unique tombstone -- rename is atomic, so exactly
-        one of the racing reclaimers succeeds and the losers see the key
-        as contended -- and only then re-creates the lease, which means a
-        fresh claim can never be destroyed by a slow reclaimer.
+        number of racing claimers wins.  Reclaimers of an expired lease
+        take turns through a per-key mutex (``<key>.lease.reclaiming``,
+        itself an exclusive create; the losers see the key as contended).
+        Without it a slow reclaimer could move the fresh lease another
+        reclaimer had just created, and a third claimer could fill the
+        gap: two winners.  The holder re-checks the lease, *renames* it
+        to a unique tombstone, and only then re-creates it.  If the
+        tombstone is not the inode and mtime judged expired (its owner
+        refreshed it in between), the lease is put back with
+        ``os.link``, as :meth:`release_lease` does.  A mutex older than
+        ``ttl_s`` belongs to a reclaimer that died holding it and is
+        broken.
         """
         path = self.lease_path(key)
         self.lease_dir.mkdir(parents=True, exist_ok=True)
@@ -604,20 +613,55 @@ class SweepStore:
             return "acquired" if self._write_lease(path, key, owner) else None
         if age <= ttl_s:
             return None
+        mutex = path.with_name(f"{path.name}.reclaiming")
+        if not self._write_lease(mutex, key, owner):
+            try:
+                if time.time() - mutex.stat().st_mtime > ttl_s:
+                    mutex.unlink()
+            except OSError:
+                pass
+            return None
+        try:
+            return "reclaimed" if self._reclaim(path, key, owner, ttl_s) else None
+        finally:
+            try:
+                mutex.unlink()
+            except OSError:
+                pass
+
+    def _reclaim(self, path: Path, key: str, owner: str, ttl_s: float) -> bool:
+        """:meth:`acquire_lease`'s takeover of an expired lease; the caller
+        holds the key's reclaim mutex.  True when ``owner`` now holds it."""
+        try:
+            expired = path.stat()
+        except OSError:
+            return False
+        if time.time() - expired.st_mtime <= ttl_s:
+            return False  # reclaimed by the previous mutex holder
         tombstone = path.with_name(
             f"{path.name}.reclaim-{os.getpid()}-{uuid.uuid4().hex[:8]}"
         )
         try:
             os.rename(path, tombstone)
         except OSError:
-            return None  # another reclaimer won the rename
+            return False
+        try:
+            moved = tombstone.stat()
+            stale = (moved.st_ino, moved.st_mtime_ns) == (
+                expired.st_ino, expired.st_mtime_ns,
+            )
+        except OSError:
+            stale = False
+        if not stale:
+            try:
+                os.link(tombstone, path)
+            except OSError:
+                pass
         try:
             tombstone.unlink()
         except OSError:
             pass
-        if self._write_lease(path, key, owner):
-            return "reclaimed"
-        return None
+        return stale and self._write_lease(path, key, owner)
 
     def refresh_lease(self, key: str, owner: str) -> bool:
         """Heartbeat ``owner``'s lease on ``key`` (bump its mtime).
@@ -780,17 +824,14 @@ class SweepStore:
         """Unified analysis columns for the whole store, or None.
 
         The packed fast path behind ``ResultTable.from_store``.  Each
-        sealed segment reads through a three-rung degradation ladder:
+        sealed segment reads through a two-rung degradation ladder:
 
         1. **binary sidecar** (``segment-*.cols``), memory-mapped --
            null-free numeric columns come back as zero-copy NumPy views,
            everything else as lazily decoded columns; no JSON parse at
            all;
-        2. **JSON columnar block** inside the segment -- one read + one
-           ``json.loads`` yielding ready-made column lists (what every
-           pre-sidecar store serves);
-        3. **tolerant frame scan** -- salvages whatever records are
-           intact when the block itself is damaged.
+        2. **tolerant frame scan** -- when the sidecar is missing or
+           damaged, salvages whatever records are intact.
 
         Loose records (if any) are flattened through the same
         :func:`~repro.sweeps.analysis.record_row` used at seal time and
@@ -834,20 +875,6 @@ class SweepStore:
                 if side is not None:
                     sources.append(side)
                     continue
-            block = seg.read_segment_columns(path, meta, warn=self._warn)
-            if block is not None:
-                keys = block["keys"]
-                sources.append(
-                    {
-                        "keys": keys,
-                        "names": block["names"],
-                        "columns": block["columns"],
-                        "first_key": keys[0] if keys else "",
-                        "last_key": keys[-1] if keys else "",
-                        "count": len(keys),
-                    }
-                )
-                continue
             try:
                 data = path.read_bytes()
             except OSError:
@@ -908,23 +935,14 @@ class SweepStore:
                     {n for s in ordered for n in s["columns"]}
                 )
                 total = sum(s["count"] for s in ordered)
-                try:
-                    import numpy as np
-                except ImportError:
-                    np = None
                 out = []
                 for n in names:
                     parts = [
                         (s["columns"].get(n), s["count"]) for s in ordered
                     ]
-                    if (
-                        np is not None
-                        and all(
-                            isinstance(column, np.ndarray)
-                            for column, _ in parts
-                        )
-                        and len({column.dtype for column, _ in parts}) == 1
-                    ):
+                    if all(
+                        isinstance(column, np.ndarray) for column, _ in parts
+                    ) and len({column.dtype for column, _ in parts}) == 1:
                         # All segments served this column as a sidecar
                         # view: one concatenation keeps it an ndarray --
                         # still no JSON parse, and downstream numeric
@@ -1052,12 +1070,16 @@ class SweepStore:
         Unreadable or foreign-generation loose files are skipped, never
         destroyed.
 
-        Publication cost: on a store whose manifest is already format v2,
-        the new segment is published with one fsynced append to the
-        current generation's delta log -- O(new records), not O(store).
-        Stores with no manifest yet, or with a v1 (or foreign-generation)
-        root, get a full v2 checkpoint at the next generation instead,
-        which is also what migrates a v1 store forward.
+        Publication cost: on a store with a current manifest, the new
+        segment is published with one fsynced append to the current
+        generation's delta log -- O(new records), not O(store).  Stores
+        with no manifest yet, an unparseable root, or a foreign-generation
+        root get a full checkpoint at the next generation instead.
+
+        A root that parses but that this engine cannot read (another
+        manifest version, or malformed fields) is refused with one
+        warning: checkpointing over it would orphan every segment it
+        indexes for the next merge to delete.  Records stay loose.
         """
         lock = self._acquire_compaction_lock()
         if lock is None:
@@ -1083,6 +1105,13 @@ class SweepStore:
         # may predate another process's compaction.
         self._manifest = _UNLOADED
         raw = self.manifest()
+        if raw is None and seg.read_root(self.directory) is not None:
+            self._warn(
+                "compact:unreadable-root",
+                f"sweep store: refusing to compact {self.directory} over a "
+                f"manifest this engine cannot read; leaving records loose",
+            )
+            return CompactionReport(sealed=0, deduped=0, skipped=0, segment=None)
         manifest = self._current_manifest()
         sealed_keys = set(manifest.entries) if manifest is not None else set()
         wanted = None if keys is None else set(keys)
@@ -1142,7 +1171,7 @@ class SweepStore:
         for entry in entries:
             old_entries[entry.key] = entry
         old_segments[name] = columns
-        if manifest is not None and manifest.manifest_version >= seg.MANIFEST_VERSION:
+        if manifest is not None:
             # O(delta) publish: one fsynced line in the current
             # generation's delta log; the root is untouched.
             if not seg.append_manifest_delta(
@@ -1158,13 +1187,13 @@ class SweepStore:
                 schema_version=SCHEMA_VERSION,
                 engine_version=__version__,
                 generation=manifest.generation,
-                manifest_version=manifest.manifest_version,
                 shard_count=manifest.shard_count,
                 delta_records=manifest.delta_records + 1,
             )
         else:
-            # No usable index yet (fresh store, v1 root, or a foreign
-            # generation's root): full checkpoint at the next generation.
+            # No usable index yet (fresh store, unparseable root, or a
+            # foreign generation's root): full checkpoint at the next
+            # generation.
             # ``raw`` (the pre-generation-gate read) supplies the base so
             # a foreign root's delta log is never reused.
             generation = (raw.generation if raw is not None else 0) + 1
@@ -1174,7 +1203,6 @@ class SweepStore:
                 schema_version=SCHEMA_VERSION,
                 engine_version=__version__,
                 generation=generation,
-                manifest_version=seg.MANIFEST_VERSION,
                 shard_count=len({seg.shard_id(k) for k in old_entries}),
                 delta_records=0,
             )
@@ -1200,23 +1228,15 @@ class SweepStore:
     DEFAULT_MERGE_TARGET = 8192
 
     def pending_deltas(self) -> int:
-        """Delta-log lines accumulated behind the current v2 root.
+        """Delta-log lines accumulated behind the current root.
 
         A cheap census for opportunistic-merge triggers (``--merge-every``):
         one small root read plus one newline count over the delta log --
         no shard loads, no delta replay, no manifest cache invalidation.
-        Returns 0 for stores without a readable v2 root.
+        Returns 0 for stores without a readable root.
         """
-        try:
-            data = json.loads(
-                (self.directory / seg.MANIFEST_NAME).read_text(encoding="utf-8")
-            )
-        except (OSError, json.JSONDecodeError):
-            return 0
-        if (
-            not isinstance(data, dict)
-            or data.get("manifest_version") != seg.MANIFEST_VERSION
-        ):
+        data = seg.read_root(self.directory)
+        if data is None or data.get("manifest_version") != seg.MANIFEST_VERSION:
             return 0
         try:
             generation = int(data.get("generation") or 0)
@@ -1295,7 +1315,6 @@ class SweepStore:
                             [str(self.directory)] * len(chunks),
                             chunks,
                             names,
-                            [seg.sidecars_enabled()] * len(chunks),
                         )
                     )
             except (OSError, BrokenProcessPool):
@@ -1336,8 +1355,6 @@ class SweepStore:
           that root's records as missing once GC unlinks its files.
         - **concurrent-compactor-safe**: serialized by the same exclusive
           lock as :meth:`compact`; the loser skips.
-        - **migration**: a v1-root store comes out the other side as a v2
-          sharded store -- this is the one-shot upgrade path.
 
         ``jobs`` > 1 rewrites the output segments through a process pool
         (names pre-computed under the lock, so workers never race each
@@ -1349,8 +1366,9 @@ class SweepStore:
         path (re-reserving fresh segment names past any orphans the dead
         workers left -- the next merge collects those).
 
-        A foreign-generation root (older engine/schema) is refused whole:
-        merging would garbage-collect data this engine cannot re-read.
+        An unreadable root, or a foreign-generation one (older engine/
+        schema), is refused whole: merging would garbage-collect data this
+        engine cannot re-read.
         """
         from repro import __version__
 
@@ -1375,12 +1393,12 @@ class SweepStore:
             root_exists = (self.directory / seg.MANIFEST_NAME).exists()
             raw = self.manifest()
             if root_exists and raw is None:
-                # Corrupt or unsupported root: compact() can rebuild an
-                # index, but GC against a broken one would delete data.
+                # GC against an index this engine cannot read would
+                # delete every segment it points at.
                 self._warn(
                     "merge:unreadable-root",
                     f"sweep store: refusing to merge {self.directory} over "
-                    f"an unreadable manifest; run compact first",
+                    f"a manifest this engine cannot read",
                 )
                 return MergeReport(
                     sealed=0, merged=0, segments=0, generation=0,
@@ -1410,8 +1428,7 @@ class SweepStore:
                 )
 
             needs_rewrite = (
-                manifest.manifest_version < seg.MANIFEST_VERSION
-                or manifest.delta_records > 0
+                manifest.delta_records > 0
                 or any(
                     seg.segment_generation(name) != manifest.generation
                     for name in manifest.segments
@@ -1479,7 +1496,6 @@ class SweepStore:
                     schema_version=SCHEMA_VERSION,
                     engine_version=__version__,
                     generation=new_generation,
-                    manifest_version=seg.MANIFEST_VERSION,
                     shard_count=len({seg.shard_id(k) for k in new_entries}),
                     delta_records=0,
                 )
@@ -1555,17 +1571,12 @@ class SweepStore:
             _WARNED.discard(entry)
 
 
-def _merge_chunk(
-    directory: str, records: list, name: str, sidecars: bool = True
-) -> tuple | None:
+def _merge_chunk(directory: str, records: list, name: str) -> tuple | None:
     """One parallel-merge pool task: write one pre-named output segment.
 
-    Module-level so it pickles into spawn-start pools.  The parent's
-    sidecar switch rides along explicitly (a spawned worker re-reads the
-    environment, not the parent's in-process toggle).  Returns what
+    Module-level so it pickles into spawn-start pools.  Returns what
     :func:`~repro.sweeps.segments.write_segment` returns; publication
     stays entirely with the parent, so a worker killed here leaves only
     an orphan file.
     """
-    with seg.use_sidecars(sidecars):
-        return seg.write_segment(Path(directory), records, name=name)
+    return seg.write_segment(Path(directory), records, name=name)

@@ -225,7 +225,6 @@ class TestShardedManifest:
     def test_delta_replay_counts(self, tmp_path):
         store, _ = generational_store(tmp_path / "s", n=12, chunks=3)
         manifest = SweepStore(tmp_path / "s").manifest()
-        assert manifest.manifest_version == seg.MANIFEST_VERSION
         assert manifest.generation == 1
         assert manifest.delta_records == 2
         assert len(manifest.entries) == 12
@@ -280,34 +279,38 @@ class TestShardedManifest:
         for key in keys[1:]:
             assert (fresh.get(key) is None) == (key in dropped)
 
-    def test_v1_root_loads_read_only(self, tmp_path):
-        store, keys = v1_store(tmp_path / "s")
-        manifest = store.manifest()
-        assert manifest.manifest_version == 1
-        assert len(manifest.entries) == 6
-        assert len(list(store.records())) == 6
-        assert store.get(keys[0]) is not None
-
-    def test_v1_root_migrates_in_one_merge(self, tmp_path):
-        store, keys = v1_store(tmp_path / "s")
-        before = snapshot(tmp_path / "s")
-        report = store.merge()
-        assert report.merged == 6
-        migrated = SweepStore(tmp_path / "s")
-        assert migrated.manifest().manifest_version == seg.MANIFEST_VERSION
-        assert migrated.manifest().generation == report.generation
-        assert snapshot(tmp_path / "s") == before
-        names = segment_names(tmp_path / "s")
-        assert all(seg.segment_generation(n) == report.generation for n in names)
-
     def test_unsupported_manifest_version_warns(self, tmp_path):
-        store, _ = generational_store(tmp_path / "s")
-        root = tmp_path / "s" / seg.MANIFEST_NAME
-        data = json.loads(root.read_text(encoding="utf-8"))
-        data["manifest_version"] = 99
-        root.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="unsupported version"):
-            assert list(SweepStore(tmp_path / "s").records()) == []
+        for version in (1, 99):
+            directory = tmp_path / f"v{version}"
+            generational_store(directory)
+            set_root_version(directory, version)
+            with pytest.warns(RuntimeWarning, match="unsupported version"):
+                assert list(SweepStore(directory).records()) == []
+
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_compact_refuses_unsupported_root(self, tmp_path, version):
+        # Checkpointing over a root this engine cannot read would orphan
+        # every segment it indexes, and the next merge would delete them.
+        generational_store(tmp_path / "s")
+        set_root_version(tmp_path / "s", version)
+        key, record = record_for(100)
+        store = SweepStore(tmp_path / "s")
+        store.put(key, record)
+        before = packed_files(tmp_path / "s")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = store.compact()
+        refusals = [w for w in caught if "refusing to compact" in str(w.message)]
+        assert len(refusals) == 1
+        assert report.sealed == 0 and report.segment is None
+        assert store.path(key).exists()
+        assert packed_files(tmp_path / "s") == before
+        with pytest.warns(RuntimeWarning, match="refusing to merge"):
+            merged = SweepStore(tmp_path / "s").merge()
+        assert merged.gc_segments == 0 and merged.gc_manifest == 0
+        assert packed_files(tmp_path / "s") == before
+        set_root_version(tmp_path / "s", seg.MANIFEST_VERSION)
+        assert len(snapshot(tmp_path / "s")) == 13
 
     def test_shard_id_is_total(self):
         for key in ("0" * 64, "f" * 64, "not-hex-at-all", ""):
@@ -319,45 +322,24 @@ class TestShardedManifest:
         assert seg.segment_generation("segment-g0041-000137.seg") == 41
 
 
-def v1_store(directory, n=6) -> tuple[SweepStore, list[str]]:
-    """A store whose root is a v1 monolithic manifest, as an old engine
-    would have left it: one segment, entries inline in the root."""
-    store = SweepStore(directory)
-    keys = []
-    for i in range(n):
-        key, record = record_for(i)
-        store.put(key, record)
-        keys.append(key)
-    store.compact()
-    manifest = seg.load_manifest(directory)
-    root = {
-        "manifest_version": 1,
-        "schema_version": manifest.schema_version,
-        "engine_version": manifest.engine_version,
-        "entries": {
-            key: [e.segment, e.offset, e.length, e.checksum]
-            for key, e in manifest.entries.items()
-        },
-        "segments": {
-            name: {
-                "count": c.count,
-                "columns_offset": c.offset,
-                "columns_length": c.length,
-                "columns_checksum": c.checksum,
-            }
-            for name, c in manifest.segments.items()
-        },
+def set_root_version(directory, version) -> None:
+    """Rewrite the root's ``manifest_version`` in place."""
+    root = Path(directory) / seg.MANIFEST_NAME
+    data = json.loads(root.read_text(encoding="utf-8"))
+    data["manifest_version"] = version
+    root.write_text(json.dumps(data), encoding="utf-8")
+
+
+def packed_files(directory) -> dict:
+    """Relative path -> bytes of the root, manifest files, and segments."""
+    directory = Path(directory)
+    paths = [directory / seg.MANIFEST_NAME]
+    paths += directory.glob("segment-*")
+    paths += (directory / seg.MANIFEST_DIR_NAME).iterdir()
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(paths)
     }
-    (Path(directory) / seg.MANIFEST_NAME).write_text(
-        json.dumps(root), encoding="utf-8"
-    )
-    # An old engine never wrote manifest/; drop the v2 leftovers.
-    manifest_dir = Path(directory) / seg.MANIFEST_DIR_NAME
-    if manifest_dir.is_dir():
-        for path in manifest_dir.iterdir():
-            path.unlink()
-        manifest_dir.rmdir()
-    return SweepStore(directory), keys
 
 
 class Boom(Exception):

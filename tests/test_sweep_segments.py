@@ -11,6 +11,7 @@ import warnings
 
 import pytest
 
+from repro.core.serialize import short_checksum
 from repro.sweeps import CompactionReport, ResultTable, SweepStore
 from repro.sweeps import segments as seg
 from repro.sweeps.engine import EvalTask, evaluate_tasks
@@ -264,20 +265,6 @@ class TestIntegrity:
         with pytest.warns(RuntimeWarning, match="manifest"):
             assert len(list(fresh.records())) == 8
 
-    def test_damaged_columnar_block_falls_back_to_frames(self, tmp_path):
-        store, _ = filled_store(tmp_path / "s")
-        with seg.use_sidecars(False):
-            store.compact()
-        path = segment_files(tmp_path / "s")[0]
-        data = bytearray(path.read_bytes())
-        index = data.find(b'"names":')
-        data[index + 2] ^= 0x01
-        path.write_bytes(bytes(data))
-        fresh = SweepStore(tmp_path / "s")
-        with pytest.warns(RuntimeWarning, match="columnar block"):
-            table = ResultTable.from_store(fresh)
-        assert len(table) == 8  # frames still intact
-
     def test_warning_fires_once_per_problem_per_store(self, tmp_path):
         store, keys = filled_store(tmp_path / "s")
         store.compact()
@@ -369,6 +356,43 @@ class TestSegmentFormat:
 
         for key in keys:
             assert canonical_dumps(found[key]).encode() == loose_bytes[key]
+
+    def test_segment_is_frames_and_footer_only(self, tmp_path):
+        store, _ = filled_store(tmp_path / "s", n=3)
+        store.compact()
+        lines = segment_files(tmp_path / "s")[0].read_bytes().splitlines()
+        tags = [line.split(b" ")[0] for line in lines[:1] + lines[1::2]]
+        assert tags == [b"SEG", b"REC", b"REC", b"REC", b"END"]
+
+    def test_segment_sealed_with_json_columns_still_reads(self, tmp_path):
+        # Engines before the sidecar became the one columnar format
+        # wrote a JSON COL block before the footer: readers skip it
+        # without a warning.
+        reference, _ = filled_store(tmp_path / "loose")
+        expected = ResultTable.from_store(reference).to_csv()
+        store, _ = filled_store(tmp_path / "s")
+        store.compact()
+        [segment] = segment_files(tmp_path / "s")
+        data = segment.read_bytes()
+        block = b'{"columns":{},"keys":[],"names":[]}'
+        footer = data.rindex(b"END ")
+        segment.write_bytes(
+            data[:footer]
+            + b"COL %d %s\n" % (len(block), short_checksum(block).encode())
+            + block + b"\n" + data[footer:]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fresh = SweepStore(tmp_path / "s")
+            assert len(list(fresh.records())) == 8
+            assert ResultTable.from_store(fresh).to_csv() == expected
+        # Without its sidecar the segment is read by the frame scan,
+        # which must step over the COL block.
+        (tmp_path / "s" / seg.sidecar_name(segment.name)).unlink()
+        with pytest.warns(RuntimeWarning, match="sidecar") as caught:
+            table = ResultTable.from_store(SweepStore(tmp_path / "s"))
+        assert table.to_csv() == expected
+        assert len(caught) == 1
 
     def test_segment_names_never_collide(self, tmp_path):
         store, keys = filled_store(tmp_path / "s", n=4)

@@ -4,14 +4,12 @@ shard-parallel merge identity, and opportunistic mid-fleet merging.
 The sidecar is purely an acceleration layer, so every test here pins one
 invariant: its presence, absence, or corruption may change *speed* but
 never a single byte of analysis output -- the CSV a store serves must be
-identical whether each segment was read through the mmap'd sidecar, the
-JSON columnar block, or the tolerant frame scan.
+identical whether each segment was read through the mmap'd sidecar or
+the tolerant frame scan.
 """
 
 import hashlib
 import json
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -23,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.serialize import short_checksum
 from repro.sweeps import ResultTable, SweepStore
 from repro.sweeps import segments as seg
+from repro.sweeps.analysis import canonical_order, record_row
 
 
 def record_for(i: int) -> tuple[str, dict]:
@@ -100,35 +99,26 @@ class TestSidecarRoundTrip:
         assert meta.sidecar_checksum == short_checksum(blob)
         assert blob.startswith(b"COLS reprocols 1\n")
 
-    def test_sidecar_columns_match_json_block_exactly(self, tmp_path):
+    def test_sidecar_columns_match_record_rows_exactly(self, tmp_path):
         store, _ = filled_store(tmp_path / "s")
         store.compact()
         directory = tmp_path / "s"
         manifest = seg.load_manifest(directory)
         [(name, meta)] = manifest.segments.items()
-        block = seg.read_segment_columns(directory / name, meta)
         side = seg.read_segment_sidecar(
             directory / seg.sidecar_name(name), meta
         )
         assert side is not None
-        assert seg.materialize_column(side["keys"]) == block["keys"]
-        assert side["names"] == block["names"]
-        for column in block["names"]:
-            assert (
-                seg.materialize_column(side["columns"][column])
-                == block["columns"][column]
-            )
-
-    def test_use_sidecars_false_skips_the_file(self, tmp_path):
-        store, _ = filled_store(tmp_path / "s")
-        with seg.use_sidecars(False):
-            store.compact()
-        assert sidecar_files(tmp_path / "s") == []
-        manifest = seg.load_manifest(tmp_path / "s")
-        [(_, meta)] = manifest.segments.items()
-        assert meta.sidecar_length == 0 and meta.sidecar_checksum == ""
-        # Reads work exactly as pre-sidecar stores.
-        assert len(ResultTable.from_store(store)) == 8
+        records = list(SweepStore(directory).records())
+        rows = [record_row(record) for record in records]
+        assert seg.materialize_column(side["keys"]) == [
+            record["key"] for record in records
+        ]
+        assert side["names"] == canonical_order({n for row in rows for n in row})
+        for column in side["names"]:
+            assert seg.materialize_column(side["columns"][column]) == [
+                row.get(column) for row in rows
+            ]
 
     def test_numeric_columns_are_zero_copy_views(self, tmp_path):
         store, _ = filled_store(tmp_path / "s")
@@ -139,20 +129,6 @@ class TestSidecarRoundTrip:
         assert by_name["analytic_success"].dtype == np.float64
         assert isinstance(by_name["shots"], np.ndarray)
         assert by_name["shots"].dtype == np.int64
-
-    def test_env_var_disables_sidecars(self, tmp_path):
-        script = (
-            "import repro.sweeps.segments as s; print(s.sidecars_enabled())"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            env={"PYTHONPATH": "src", "REPRO_NO_SIDECARS": "1", "PATH": "/usr/bin:/bin"},
-            cwd=Path(__file__).resolve().parent.parent,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "False"
 
     def test_resealing_same_records_is_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
@@ -165,17 +141,18 @@ class TestSidecarRoundTrip:
 
 class TestCSVIdentity:
     def test_csv_identical_across_all_three_backends(self, tmp_path):
+        # Loose files, the mmap'd sidecar, and the frame scan of a
+        # segment whose sidecar is gone.
         filled_store(tmp_path / "loose")
-        json_store, _ = filled_store(tmp_path / "jsononly")
-        with seg.use_sidecars(False):
-            json_store.compact()
-        side_store, _ = filled_store(tmp_path / "sidecar")
-        side_store.compact()
+        for sub in ("frames", "sidecar"):
+            filled_store(tmp_path / sub)[0].compact()
+        for cols in sidecar_files(tmp_path / "frames"):
+            cols.unlink()
         csvs = {
             sub: store_csv(tmp_path / sub)
-            for sub in ("loose", "jsononly", "sidecar")
+            for sub in ("loose", "frames", "sidecar")
         }
-        assert csvs["loose"] == csvs["jsononly"] == csvs["sidecar"]
+        assert csvs["loose"] == csvs["frames"] == csvs["sidecar"]
         assert csvs["loose"].count("\n") == 9  # header + 8 rows
 
     def test_csv_identical_for_mixed_sealed_plus_loose(self, tmp_path):
@@ -194,15 +171,15 @@ class TestCSVIdentity:
 
 
 class TestSidecarCorruption:
-    """Truncated / bit-flipped / missing sidecars must degrade to the JSON
-    block with one warning -- and never change a byte of output."""
+    """Truncated / bit-flipped / missing sidecars must degrade to the
+    frame scan with one warning -- and never change a byte of output."""
 
     def _sealed(self, directory):
         store, _ = filled_store(directory)
         store.compact()
         return store_csv(directory)  # reference read via healthy sidecar
 
-    def test_missing_sidecar_degrades_to_json_block(self, tmp_path):
+    def test_missing_sidecar_degrades_to_frame_scan(self, tmp_path):
         reference = self._sealed(tmp_path / "s")
         [cols] = sidecar_files(tmp_path / "s")
         cols.unlink()
@@ -210,7 +187,7 @@ class TestSidecarCorruption:
             table = ResultTable.from_store(SweepStore(tmp_path / "s"))
         assert table.to_csv() == reference
 
-    def test_truncated_sidecar_degrades_to_json_block(self, tmp_path):
+    def test_truncated_sidecar_degrades_to_frame_scan(self, tmp_path):
         reference = self._sealed(tmp_path / "s")
         [cols] = sidecar_files(tmp_path / "s")
         cols.write_bytes(cols.read_bytes()[:-16])
@@ -218,7 +195,7 @@ class TestSidecarCorruption:
             table = ResultTable.from_store(SweepStore(tmp_path / "s"))
         assert table.to_csv() == reference
 
-    def test_bit_flipped_sidecar_degrades_to_json_block(self, tmp_path):
+    def test_bit_flipped_sidecar_degrades_to_frame_scan(self, tmp_path):
         reference = self._sealed(tmp_path / "s")
         [cols] = sidecar_files(tmp_path / "s")
         data = bytearray(cols.read_bytes())
@@ -239,23 +216,27 @@ class TestSidecarCorruption:
             fresh.analysis_columns()
         assert len([w for w in caught if "sidecar" in str(w.message)]) == 1
 
-    def test_dead_sidecar_and_dead_block_fall_to_frame_scan(self, tmp_path):
-        # Both acceleration rungs gone: the frame scan still serves every
-        # intact record, with one warning per rung.
-        reference_rows = sorted(self._sealed(tmp_path / "s").splitlines()[1:])
+    def test_dead_sidecar_and_damaged_frame_keep_intact_records(
+        self, tmp_path
+    ):
+        # Sidecar gone and one record frame damaged: the frame scan
+        # serves exactly the other seven records, one warning each.
+        self._sealed(tmp_path / "s")
         [cols] = sidecar_files(tmp_path / "s")
         cols.write_bytes(b"COLS reprocols 1\ngarbage")
+        ref, keys = filled_store(tmp_path / "ref")
+        ref.path(keys[3]).unlink()
+        damaged = seg.load_manifest(tmp_path / "s").entries[keys[3]]
         [segment] = segment_files(tmp_path / "s")
         data = bytearray(segment.read_bytes())
-        index = data.find(b'"names":')
-        data[index + 2] ^= 0x01
+        data[damaged.offset + 5] ^= 0x01
         segment.write_bytes(bytes(data))
         with pytest.warns(RuntimeWarning) as caught:
             table = ResultTable.from_store(SweepStore(tmp_path / "s"))
         messages = [str(w.message) for w in caught]
         assert any("sidecar" in m for m in messages)
-        assert any("columnar block" in m for m in messages)
-        assert sorted(table.to_csv().splitlines()[1:]) == reference_rows
+        assert any("fails its checksum" in m for m in messages)
+        assert table.to_csv() == store_csv(tmp_path / "ref")
 
     def test_crash_during_sidecar_write_converges_on_retry(
         self, tmp_path, monkeypatch
@@ -490,9 +471,6 @@ class TestSidecarProperties:
         path = directory / "segment-000001.cols"
         path.write_bytes(blob)
         meta = seg.SegmentColumns(
-            offset=0,
-            length=0,
-            checksum="",
             count=rows,
             sidecar_length=len(blob),
             sidecar_checksum=short_checksum(blob),

@@ -6,17 +6,17 @@ The speedup-gate benchmark modules write one machine-readable run file
 runs into a *committed, trend-gated artifact*:
 
 - ``append`` folds a fresh run file into a trajectory file as one
-  per-PR snapshot (``BENCH_6.json`` is the committed trajectory)::
+  per-PR snapshot (``BENCH_8.json`` is the committed trajectory)::
 
       python tools/bench_trajectory.py append \
-          --run BENCH_RUN.json --trajectory BENCH_6.json --pr 6
+          --run BENCH_RUN.json --trajectory BENCH_8.json --pr 8
 
 - ``compare`` gates a fresh run against the latest committed snapshot
   and exits non-zero when any gated measurement regressed by more than
   ``--threshold`` (default 25%)::
 
       python tools/bench_trajectory.py compare \
-          --run BENCH_RUN.json --trajectory BENCH_6.json
+          --run BENCH_RUN.json --trajectory BENCH_8.json
 
 Only dimensionless **speedup ratios** are gated (every entry carrying a
 ``speedup`` field).  Absolute seconds are recorded for context but never
