@@ -22,6 +22,7 @@ from repro.utils import kernels
 if typing.TYPE_CHECKING:
     from repro.circuit.circuit import QuantumCircuit
     from repro.hardware.spec import HardwareSpec
+    from repro.noise.fidelity import NoiseModelConfig
 
 __all__ = [
     "CacheKey",
@@ -29,6 +30,7 @@ __all__ = [
     "clear_fingerprint_caches",
     "fingerprint_circuit",
     "fingerprint_config",
+    "fingerprint_noise",
     "fingerprint_obj",
     "fingerprint_spec",
 ]
@@ -65,16 +67,42 @@ def fingerprint_obj(value: object) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-#: Spec-object -> digest memo (HardwareSpec is frozen and hashable, and the
-#: digest is a pure function of its fields, so equal specs share an entry).
+#: Value -> digest memos for the frozen, hashable inputs every sweep
+#: scenario fingerprints (specs, noise configs, technique configs); the
+#: digest is a pure function of the fields, so equal values share an entry.
 _SPEC_FP_CACHE: dict = {}
-_SPEC_FP_CACHE_MAX = 4096
+_NOISE_FP_CACHE: dict = {}
+_CONFIG_FP_CACHE: dict = {}
+_FP_CACHE_MAX = 4096
 
 
 def clear_fingerprint_caches() -> None:
     """Drop every fingerprint memo (used by cold-start benchmarks/tests)."""
     _SPEC_FP_CACHE.clear()
+    _NOISE_FP_CACHE.clear()
     _CONFIG_FP_CACHE.clear()
+
+
+def _memoized(cache: dict, value: object) -> str:
+    """``fingerprint_obj(value)``, looked up in ``cache`` first.
+
+    The memo key pairs the value with its field types: dataclass equality
+    says ``1 == 1.0 == True``, but their canonical JSON -- and so their
+    digests -- differ.  Unhashable or slotted stand-ins skip the memo.
+    """
+    if kernels.reference_kernels_active():
+        return fingerprint_obj(value)
+    try:
+        key = (value, tuple(map(type, vars(value).values())))
+        digest = cache.get(key)
+    except TypeError:
+        return fingerprint_obj(value)
+    if digest is None:
+        digest = fingerprint_obj(value)
+        if len(cache) >= _FP_CACHE_MAX:
+            cache.clear()
+        cache[key] = digest
+    return digest
 
 
 def _fingerprint_circuit_content(circuit: "QuantumCircuit") -> str:
@@ -114,39 +142,17 @@ def fingerprint_circuit(circuit: "QuantumCircuit") -> str:
 
 def fingerprint_spec(spec: "HardwareSpec") -> str:
     """Digest covering every field of the hardware spec (content-memoized)."""
-    if kernels.reference_kernels_active():
-        return fingerprint_obj(spec)
-    try:
-        digest = _SPEC_FP_CACHE.get(spec)
-    except TypeError:  # unhashable spec stand-in
-        return fingerprint_obj(spec)
-    if digest is None:
-        digest = fingerprint_obj(spec)
-        if len(_SPEC_FP_CACHE) >= _SPEC_FP_CACHE_MAX:
-            _SPEC_FP_CACHE.clear()
-        _SPEC_FP_CACHE[spec] = digest
-    return digest
+    return _memoized(_SPEC_FP_CACHE, spec)
 
 
-#: Config-object -> digest memo (technique configs are frozen dataclasses;
-#: unhashable configs just skip the memo).
-_CONFIG_FP_CACHE: dict = {}
+def fingerprint_noise(noise: "NoiseModelConfig") -> str:
+    """Digest covering every field of a noise config (content-memoized)."""
+    return _memoized(_NOISE_FP_CACHE, noise)
 
 
 def fingerprint_config(config: object) -> str:
     """Digest of a technique config (``None`` hashes to a fixed value)."""
-    if kernels.reference_kernels_active():
-        return fingerprint_obj(config)
-    try:
-        digest = _CONFIG_FP_CACHE.get(config)
-    except TypeError:
-        return fingerprint_obj(config)
-    if digest is None:
-        digest = fingerprint_obj(config)
-        if len(_CONFIG_FP_CACHE) >= _SPEC_FP_CACHE_MAX:
-            _CONFIG_FP_CACHE.clear()
-        _CONFIG_FP_CACHE[config] = digest
-    return digest
+    return _memoized(_CONFIG_FP_CACHE, config)
 
 
 def _code_version() -> str:

@@ -28,7 +28,7 @@ import hashlib
 import os
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.circuit.circuit import QuantumCircuit
@@ -66,6 +66,9 @@ class CorpusWorkload:
         checksum: full SHA-256 hex digest of the file text.
         num_qubits: qubit count of the parsed circuit.
         num_gates: gate count of the parsed circuit.
+        circuit: the circuit the scan parsed (named by ``workload_id``);
+            registration hands it to :func:`resolve_workload`, so no file
+            is parsed twice.
     """
 
     workload_id: str
@@ -73,6 +76,9 @@ class CorpusWorkload:
     checksum: str
     num_qubits: int
     num_gates: int
+    circuit: "QuantumCircuit | None" = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -159,13 +165,15 @@ def scan_corpus(directory: str, pattern: str = "*.qasm") -> Corpus:
             skipped.append((relative, str(exc)))
             warnings.warn(f"corpus: skipped {relative}: {exc}", RuntimeWarning)
             continue
+        circuit.name = workload_id(path.stem, text)
         workloads.append(
             CorpusWorkload(
-                workload_id=workload_id(path.stem, text),
+                workload_id=circuit.name,
                 path=str(path),
                 checksum=hashlib.sha256(text.encode("utf-8")).hexdigest(),
                 num_qubits=circuit.num_qubits,
                 num_gates=len(circuit),
+                circuit=circuit,
             )
         )
     return Corpus(
@@ -177,9 +185,10 @@ def scan_corpus(directory: str, pattern: str = "*.qasm") -> Corpus:
 
 # -- registry ------------------------------------------------------------------
 
-#: workload id -> source path; circuits are parsed on first resolution and
-#: cached here, so registration is cheap and resolution is deterministic in
-#: every process that scans the same directory.
+#: workload id -> source path, and the circuit each id resolves to: the one
+#: its scan parsed, or -- for a workload registered without one -- parsed
+#: on first resolution.  Resolution is deterministic in every process that
+#: scans the same directory.
 _REGISTRY: dict[str, str] = {}
 _CIRCUITS: dict[str, QuantumCircuit] = {}
 _SCANNED_DIRS: set[str] = set()
@@ -197,6 +206,8 @@ def register_corpus(corpus: "Corpus | str") -> Corpus:
         corpus = scan_corpus(corpus)
     for workload in corpus.workloads:
         _REGISTRY[workload.workload_id] = workload.path
+        if workload.circuit is not None:
+            _CIRCUITS.setdefault(workload.workload_id, workload.circuit)
     _SCANNED_DIRS.add(os.path.abspath(corpus.directory))
     return corpus
 

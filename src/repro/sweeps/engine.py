@@ -5,19 +5,26 @@ scenario against its compiled artifact -- is embarrassingly parallel: each
 scenario's record is a pure function of its :class:`EvalTask` (the compile
 result, the effective spec/noise, and a content-derived seed fixed at grid
 expansion).  :func:`evaluate_tasks` therefore partitions the pending tasks
-into contiguous chunks, fans the chunks over a ``ProcessPoolExecutor``
-(``workers`` > 1), and has every worker persist each record through the
-store's atomic per-scenario writes as soon as it is computed.
+into contiguous chunks and fans the chunks over a ``ProcessPoolExecutor``
+(``workers`` > 1).  Records reach the store one of two ways:
+
+- **loose** (the default) -- every worker persists each record through
+  the store's atomic per-scenario writes as soon as it is computed;
+- **sealed** (``seal=True``) -- workers hand their chunk's records back,
+  and the driver packs them straight into a segment
+  (:meth:`SweepStore.seal`) as each chunk completes; the in-process path
+  seals once, at the end.  No loose file is written.
 
 Guarantees:
 
 - **bit-identical for any worker count** -- no task reads another task's
   output or any shared RNG state, so sharding cannot change a single byte
-  of any record;
-- **resumable mid-shard** -- workers write records one at a time through
-  :meth:`SweepStore.put` (atomic tmp-file + rename), so a sweep killed in
-  the middle of a chunk keeps every finished scenario and a ``resume`` run
-  only evaluates the missing ones;
+  of any record, and a sealed run's segments equal those of a loose run
+  followed by ``compact``;
+- **resumable** -- a sweep killed mid-run keeps every record it had made
+  durable: every finished scenario when records go loose, every sealed
+  chunk under ``seal=True``; a ``resume`` run only evaluates the missing
+  ones;
 - **degrades gracefully** -- when process pools are unavailable (sandboxed
   environments), evaluation falls back to the in-process path with
   identical results.
@@ -164,7 +171,8 @@ def partition_tasks(
 def _evaluate_chunk(
     chunk: "Sequence[EvalTask]", store_dir: str | None
 ) -> list[dict]:
-    """Worker entry: evaluate a chunk, persisting record-by-record."""
+    """Worker entry: evaluate a chunk, persisting record-by-record when
+    given a store directory."""
     store = SweepStore(store_dir) if store_dir else None
     records = []
     for task in chunk:
@@ -175,26 +183,20 @@ def _evaluate_chunk(
     return records
 
 
-def _seal_chunk(
-    store: SweepStore | None,
+def _seal_records(
+    store: SweepStore,
     chunk: "Sequence[EvalTask]",
+    records: "Sequence[dict]",
     emit: "Callable[[str], None]",
 ) -> None:
-    """Driver-side sealing: pack one finished chunk's loose spills.
+    """Driver-side sealing: pack one finished chunk's records into a
+    segment straight from memory.
 
-    Workers always spill loose records (atomic, resume-safe); with
-    ``seal=True`` the driver compacts each chunk's keys into a packed
-    segment the moment its future completes, so a long sweep finishes with
-    its store already in bulk-load form.  Sealing failures degrade to
-    leaving the records loose -- never to losing them.
+    :meth:`SweepStore.seal` writes the records loose instead whenever it
+    cannot seal them (a contended lock, a foreign root, a refused write),
+    so sealing never loses a record.
     """
-    if store is None:
-        return
-    try:
-        report = store.compact(keys=[task.key for task in chunk])
-    except OSError as exc:
-        emit(f"sweep: could not seal chunk ({exc}); records stay loose")
-        return
+    report = store.seal(zip((task.key for task in chunk), records))
     if report.sealed:
         emit(
             f"sweep: sealed {report.sealed} records into {report.segment}"
@@ -240,18 +242,23 @@ def evaluate_tasks(
 
     Args:
         tasks: the pending evaluation units.
-        store: optional store; every record is persisted atomically the
-            moment it is computed (by the worker that computed it), so an
-            interrupted run keeps its progress at scenario granularity.
+        store: optional store.  Without ``seal``, every record is
+            persisted atomically the moment it is computed (by the worker
+            that computed it), so an interrupted run keeps its progress at
+            scenario granularity.
         workers: evaluation process-pool size; ``1`` runs in-process.
             Records are bit-identical for any value.
         chunk_size: tasks per dispatched chunk; defaults to spreading the
             work over ~4 chunks per worker (amortizes pickling while
             keeping the pool busy near the tail).
-        seal: with a store, compact each chunk's freshly spilled loose
-            records into a packed segment as its future completes (the
-            in-process path seals once at the end).  Record *content* is
-            unaffected -- only the on-disk backend changes.
+        seal: with a store, write no loose file: seal each chunk's
+            records into a packed segment straight from memory as its
+            future completes (the in-process path seals all of them once,
+            at the end).  Progress is then durable at these seal
+            boundaries, not per record: a run killed mid-chunk (or,
+            in-process, before the end) recomputes that chunk on
+            ``resume``.  Record *content* is unaffected -- only the
+            on-disk backend changes.
         merge_every: with a store and ``seal``, fold segments via
             :meth:`SweepStore.maybe_merge` whenever the pending delta
             count reaches this threshold (checked at each seal boundary),
@@ -268,7 +275,11 @@ def evaluate_tasks(
         if chunk_size is None:
             chunk_size = max(1, -(-len(tasks) // (workers * 4)))
         chunks = partition_tasks(tasks, -(-len(tasks) // chunk_size))
-        store_dir = str(store.directory) if store is not None else None
+        # Sealing workers hand their records back unspilled; the driver
+        # seals them.
+        store_dir = (
+            str(store.directory) if store is not None and not seal else None
+        )
         # Only pool *unavailability* degrades to the in-process path:
         # OSError at executor creation (no /dev/shm, fork refused) or a
         # BrokenProcessPool while running (sandbox killed the children).
@@ -296,8 +307,10 @@ def evaluate_tasks(
                             index = futures[future]
                             by_chunk[index] = future.result()
                             done_count += 1
-                            if seal:
-                                _seal_chunk(store, chunks[index], emit)
+                            if seal and store is not None:
+                                _seal_records(
+                                    store, chunks[index], by_chunk[index], emit
+                                )
                                 maybe_merge_store(store, merge_every, emit)
                         emit(
                             f"sweep: evaluated {done_count}/{len(chunks)} "
@@ -313,12 +326,12 @@ def evaluate_tasks(
     records = []
     for count, task in enumerate(tasks, start=1):
         record = evaluate_task(task)
-        if store is not None:
+        if store is not None and not seal:
             store.put(task.key, record)
         records.append(record)
         if count % 50 == 0:
             emit(f"sweep: evaluated {count}/{len(tasks)} scenarios")
-    if seal:
-        _seal_chunk(store, tasks, emit)
+    if seal and store is not None:
+        _seal_records(store, tasks, records, emit)
         maybe_merge_store(store, merge_every, emit)
     return records

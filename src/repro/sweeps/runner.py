@@ -16,15 +16,16 @@ own process pool:
    :func:`~repro.sweeps.engine.evaluate_tasks`: in-process when
    ``eval_workers == 1``, otherwise chunked over a ``ProcessPoolExecutor``
    whose workers write each finished record straight through the store's
-   atomic per-scenario files.
+   atomic per-scenario files -- or, with ``seal=True``, hand their chunk's
+   records back for the driver to pack into a segment.
 
 Every scenario's compile config and Monte Carlo seed are fixed before any
 work runs, so the produced records are bit-identical for any ``workers`` or
 ``eval_workers`` value.  With a :class:`~repro.sweeps.store.SweepStore`
-attached, each record is persisted as soon as it is evaluated;
-``resume=True`` then skips every scenario already on disk, which is what
-lets an interrupted sweep -- killed even mid-shard -- restart without
-recomputation.
+attached, each record is persisted as soon as it is evaluated (with
+``seal=True``: as soon as its chunk is sealed); ``resume=True`` then skips
+every scenario already on disk, which is what lets an interrupted sweep
+restart without recomputing what it had persisted.
 
 A third execution strategy, ``run_sweep(distributed=True, workers=N)``,
 replaces the two pools with N coordinator-free work-stealing workers over
@@ -256,8 +257,8 @@ def run_sweep(
     Args:
         grid: the scenario grid to expand and evaluate.
         store: optional on-disk store; every evaluated record is persisted
-            immediately (so a killed run keeps its progress).  Required
-            when ``distributed=True``.
+            immediately (so a killed run keeps its progress), or at seal
+            boundaries with ``seal``.  Required when ``distributed=True``.
         resume: with a store, skip scenarios whose records already exist;
             without it, existing entries are recomputed and overwritten.
         workers: process-pool size for the compilation phase.  With
@@ -268,9 +269,15 @@ def run_sweep(
             Ignored when ``distributed=True``.
         limit: only evaluate the first ``limit`` scenarios of the grid
             (truncation cannot shift any scenario's content-derived seed).
-        seal: with a store, compact each evaluation chunk's loose records
-            into packed segments as it completes (``--seal``), so the run
-            ends with a bulk-loadable store; record content is unchanged.
+        seal: with a store, pack each evaluation chunk's records into a
+            segment straight from memory as it completes (``--seal``; the
+            in-process path seals once, at the end), writing no loose
+            file, so the run ends with a bulk-loadable store.  Progress is
+            durable at those seal boundaries rather than per record: a
+            killed run recomputes its unsealed chunks on resume.  Record
+            content, and every store file, equal those of an unsealed run
+            followed by ``compact``.  Distributed workers keep spilling
+            loose records and compact them in batches.
         merge: with a store, run :meth:`SweepStore.merge` after the sweep
             finishes (``--merge``): loose records are sealed, small
             segments fold into large generation-tagged ones, and the

@@ -672,6 +672,11 @@ class SweepServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    #: Listen backlog.  socketserver's default of 5 is below a modest
+    #: client fleet: connections past it have their SYN dropped while the
+    #: accept loop is busy, and each such client waits out a ~1 s SYN
+    #: retransmit.
+    request_queue_size = 128
 
     def __init__(
         self,

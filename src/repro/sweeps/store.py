@@ -78,7 +78,7 @@ import numpy as np
 
 from repro.core.serialize import canonical_dumps
 from repro.pipeline.cache import atomic_write_text
-from repro.pipeline.fingerprint import fingerprint_obj
+from repro.pipeline.fingerprint import fingerprint_noise, fingerprint_obj, fingerprint_spec
 from repro.sweeps import segments as seg
 
 if typing.TYPE_CHECKING:
@@ -169,8 +169,8 @@ def scenario_key(
         "technique": scenario.technique,
         "circuit": circuit_fp,
         "config": config_fp,
-        "spec": fingerprint_obj(scenario.spec),
-        "noise": fingerprint_obj(scenario.noise),
+        "spec": fingerprint_spec(scenario.spec),
+        "noise": fingerprint_noise(scenario.noise),
         "shots": scenario.shots,
         "seed": scenario.seed,
         "version": __version__,
@@ -183,13 +183,15 @@ def scenario_key(
 
 @dataclass(frozen=True)
 class CompactionReport:
-    """Outcome of one :meth:`SweepStore.compact` pass.
+    """Outcome of one :meth:`SweepStore.compact` or :meth:`SweepStore.seal`
+    pass.
 
     Attributes:
-        sealed: loose records packed into the new segment this pass.
-        deduped: loose files removed because their key was already sealed
+        sealed: records packed into the new segment this pass.
+        deduped: records dropped because their key was already sealed
             (e.g. a previous compaction was killed between its manifest
-            swap and its loose-file cleanup).
+            swap and its loose-file cleanup); their loose twins are
+            removed.
         skipped: loose files left untouched (unreadable, wrong schema, or
             foreign engine generation -- never silently destroyed).
         segment: filename of the newly sealed segment, or None when there
@@ -327,29 +329,43 @@ class SweepStore:
             self._manifest = seg.load_manifest(self.directory, warn=self._warn)
         return self._manifest  # type: ignore[return-value]
 
-    def _current_manifest(self) -> "seg.Manifest | None":
-        """The manifest, if it indexes this schema + engine generation.
+    def _owns_root(self, manifest: "seg.Manifest") -> bool:
+        """Whether this engine may read, extend and garbage-collect the
+        root ``manifest`` was loaded from: its schema and engine
+        generation are this engine's.
 
-        A manifest written by an older package version is skipped whole
-        (with one warning): its Monte Carlo numbers must never blend into
-        a newer analysis, mirroring the per-record generation check on
-        loose files.
+        The one ownership rule behind the read path, :meth:`compact`,
+        :meth:`seal` and :meth:`merge`.  A foreign root's Monte Carlo
+        numbers must never blend into a newer analysis, and publishing
+        over it would drop its index, after which the next merge would
+        garbage-collect segments no engine of this generation can
+        re-read.
         """
+        from repro import __version__
+
+        return (
+            manifest.schema_version == SCHEMA_VERSION
+            and manifest.engine_version == __version__
+        )
+
+    def _current_manifest(self) -> "seg.Manifest | None":
+        """The manifest, if this engine owns its root (see
+        :meth:`_owns_root`); a foreign root is skipped whole, with one
+        warning, mirroring the per-record generation check on loose
+        files."""
         from repro import __version__
 
         manifest = self.manifest()
         if manifest is None:
             return None
-        if (
-            manifest.schema_version != SCHEMA_VERSION
-            or manifest.engine_version != __version__
-        ):
+        if not self._owns_root(manifest):
             self._warn(
                 f"{seg.MANIFEST_NAME}:generation",
                 f"sweep store: skipping {len(manifest.entries)} sealed "
                 f"records from engine {manifest.engine_version!r} / schema "
                 f"{manifest.schema_version!r} (this is {__version__} / "
-                f"{SCHEMA_VERSION}; recompact to refresh)",
+                f"{SCHEMA_VERSION}, which neither reads nor rewrites that "
+                f"index; sweep into a fresh store to refresh them)",
             )
             return None
         return manifest
@@ -498,15 +514,27 @@ class SweepStore:
         and a failed write raises: a sweep whose store cannot persist must
         not keep reporting scenarios as safely computed.
         """
+        self._write_loose(key, self._stamped(key, record))
+
+    @staticmethod
+    def _stamped(key: str, record: dict) -> str:
+        """``record`` stamped with its key and this engine's generation,
+        as the canonical JSON text every backend stores."""
         from repro import __version__
 
-        payload = {
-            **record,
-            "schema_version": SCHEMA_VERSION,
-            "engine_version": __version__,
-            "key": key,
-        }
-        if not atomic_write_text(self.path(key), canonical_dumps(payload)):
+        return canonical_dumps(
+            {
+                **record,
+                "schema_version": SCHEMA_VERSION,
+                "engine_version": __version__,
+                "key": key,
+            }
+        )
+
+    def _write_loose(self, key: str, text: str) -> None:
+        """Atomically write one stamped record text as ``key``'s loose
+        file; raises ``OSError`` when the filesystem refuses."""
+        if not atomic_write_text(self.path(key), text):
             raise OSError(f"failed to persist sweep record to {self.path(key)}")
 
     # -- leases (distributed claims) -------------------------------------------
@@ -1073,21 +1101,19 @@ class SweepStore:
         Publication cost: on a store with a current manifest, the new
         segment is published with one fsynced append to the current
         generation's delta log -- O(new records), not O(store).  Stores
-        with no manifest yet, an unparseable root, or a foreign-generation
-        root get a full checkpoint at the next generation instead.
+        with no manifest yet, or an unparseable root, get a full
+        checkpoint at generation 1 instead.
 
-        A root that parses but that this engine cannot read (another
-        manifest version, or malformed fields) is refused with one
-        warning: checkpointing over it would orphan every segment it
-        indexes for the next merge to delete.  Records stay loose.
+        A root this engine does not own is refused with one warning and
+        every record stays loose: one that parses but that this engine
+        cannot read (another manifest version, or malformed fields), or
+        one of another schema or engine generation (see
+        :meth:`_owns_root`).  Checkpointing over it would orphan every
+        segment it indexes for the next merge to delete.
         """
         lock = self._acquire_compaction_lock()
         if lock is None:
-            self._warn(
-                "compact:locked",
-                f"sweep store: another compaction of {self.directory} is in "
-                f"progress; leaving records loose (rerun compact later)",
-            )
+            self._warn_locked()
             return CompactionReport(sealed=0, deduped=0, skipped=0, segment=None)
         try:
             return self._compact_locked(keys)
@@ -1097,12 +1123,104 @@ class SweepStore:
             except OSError:
                 pass
 
-    def _compact_locked(self, keys: "Iterable[str] | None" = None) -> CompactionReport:
-        """:meth:`compact` body; caller must hold the compaction lock."""
-        from repro import __version__
+    def seal(self, records: "Iterable[tuple[str, dict]]") -> CompactionReport:
+        """Seal in-memory ``(key, record)`` pairs straight into a new
+        packed segment, writing no loose file.
 
-        # Re-read the manifest under the lock: this instance's cache
-        # may predate another process's compaction.
+        The ``--seal`` sweep path: the records a sweep already holds are
+        stamped exactly as :meth:`put` stamps them, keys already sealed
+        are skipped (their loose twins removed), and the rest are
+        published through the same path as :meth:`compact` -- so the
+        segment, its sidecar, the manifest and the delta log are
+        byte-identical to a ``put`` of every record followed by
+        ``compact(keys)``.
+
+        No record is ever lost.  When another process holds the
+        compaction lock, when this engine does not own the store's root,
+        or when the segment or its publication cannot be written, the
+        records are written loose instead, as :meth:`put` would (and a
+        failure of *that* raises ``OSError``).  Records are durable only
+        once this call returns: callers that need per-record durability
+        use :meth:`put`.
+        """
+        stamped = {key: self._stamped(key, record) for key, record in records}
+        if not stamped:
+            return CompactionReport(sealed=0, deduped=0, skipped=0, segment=None)
+        lock = self._acquire_compaction_lock()
+        if lock is None:
+            self._warn_locked()
+            self._spill(stamped)
+            return CompactionReport(sealed=0, deduped=0, skipped=0, segment=None)
+        try:
+            manifest, owned = self._owned_manifest_locked()
+            if not owned:
+                self._spill(stamped)
+                return CompactionReport(sealed=0, deduped=0, skipped=0, segment=None)
+            sealed_keys = manifest.entries if manifest is not None else {}
+            fresh = {}
+            deduped = 0
+            for key, text in stamped.items():
+                if key in sealed_keys:
+                    deduped += 1
+                    _unlink_quietly(self.path(key))
+                else:
+                    fresh[key] = text
+            if not fresh:
+                return CompactionReport(
+                    sealed=0, deduped=deduped, skipped=0, segment=None
+                )
+            ordered = sorted(fresh)
+            try:
+                # The packer must see records in the form a loose file
+                # reads back as (lists, not tuples; plain floats), or the
+                # sidecar's column encodings would drift from compact's.
+                name = self._publish_locked(
+                    manifest,
+                    [json.loads(fresh[key]) for key in ordered],
+                    stale=[self.path(key) for key in ordered],
+                )
+            except OSError as exc:
+                self._warn(
+                    "seal:failed",
+                    f"sweep store: could not seal records into "
+                    f"{self.directory} ({exc}); writing them loose",
+                )
+                self._spill(fresh)
+                return CompactionReport(
+                    sealed=0, deduped=deduped, skipped=0, segment=None
+                )
+            return CompactionReport(
+                sealed=len(ordered), deduped=deduped, skipped=0, segment=name
+            )
+        finally:
+            try:
+                lock.unlink()
+            except OSError:
+                pass
+
+    def _spill(self, stamped: "dict[str, str]") -> None:
+        """Write stamped record texts loose, in key order (the fallback of
+        :meth:`seal`)."""
+        for key in sorted(stamped):
+            self._write_loose(key, stamped[key])
+
+    def _warn_locked(self) -> None:
+        self._warn(
+            "compact:locked",
+            f"sweep store: another compaction of {self.directory} is in "
+            f"progress; leaving records loose (rerun compact later)",
+        )
+
+    def _owned_manifest_locked(self) -> "tuple[seg.Manifest | None, bool]":
+        """Re-read the root under the compaction lock (this instance's
+        cache may predate another process's compaction) and decide
+        whether this engine may publish over it.
+
+        Returns ``(manifest, owned)``: ``manifest`` is None for a store
+        without a usable index yet (no root, or an unparseable one), and
+        ``owned`` is False -- with one warning -- for a root that parses
+        but that this engine cannot read or does not own.
+        """
         self._manifest = _UNLOADED
         raw = self.manifest()
         if raw is None and seg.read_root(self.directory) is not None:
@@ -1111,15 +1229,29 @@ class SweepStore:
                 f"sweep store: refusing to compact {self.directory} over a "
                 f"manifest this engine cannot read; leaving records loose",
             )
+            return None, False
+        if raw is not None and not self._owns_root(raw):
+            self._warn(
+                "compact:foreign-root",
+                f"sweep store: refusing to compact {self.directory}: its "
+                f"manifest belongs to engine {raw.engine_version!r} / "
+                f"schema {raw.schema_version!r}; leaving records loose",
+            )
+            return None, False
+        return raw, True
+
+    def _compact_locked(self, keys: "Iterable[str] | None" = None) -> CompactionReport:
+        """:meth:`compact` body; caller must hold the compaction lock."""
+        manifest, owned = self._owned_manifest_locked()
+        if not owned:
             return CompactionReport(sealed=0, deduped=0, skipped=0, segment=None)
-        manifest = self._current_manifest()
         sealed_keys = set(manifest.entries) if manifest is not None else set()
         wanted = None if keys is None else set(keys)
 
-        # With an explicit key set (the --seal per-chunk path), visit
+        # With an explicit key set (the distributed --seal batches), visit
         # only those keys' own files -- the loose filename is derived
         # from the key -- instead of parsing the whole directory per
-        # chunk, which would make a sealed sweep quadratic in size.
+        # batch, which would make a sealed sweep quadratic in size.
         if wanted is None:
             candidates = sorted(self.loose_paths())
         else:
@@ -1145,10 +1277,7 @@ class SweepStore:
                 continue
             if key in sealed_keys:
                 deduped += 1
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+                _unlink_quietly(path)
                 continue
             to_seal.append((path, key, record))
         if not to_seal:
@@ -1157,9 +1286,39 @@ class SweepStore:
             )
 
         to_seal.sort(key=lambda item: item[1])
-        written = seg.write_segment(
-            self.directory, [record for _, _, record in to_seal]
+        name = self._publish_locked(
+            manifest,
+            [record for _, _, record in to_seal],
+            stale=[path for path, _, _ in to_seal],
         )
+        return CompactionReport(
+            sealed=len(to_seal), deduped=deduped, skipped=skipped,
+            segment=name,
+        )
+
+    def _publish_locked(
+        self,
+        manifest: "seg.Manifest | None",
+        records: "list[dict]",
+        stale: "Iterable[Path]",
+    ) -> str:
+        """Write ``records`` as one new segment and publish it; the one
+        publish path of :meth:`compact` and :meth:`seal`.
+
+        ``records`` are stamped, in canonical-JSON form and in ascending
+        key order; ``manifest`` is the owned index re-read under the
+        lock the caller holds (None for a store without one).  The
+        segment is published with one delta-log append to the current
+        generation, or -- without an index -- a full checkpoint at
+        generation 1; then the manifest cache is updated and the
+        ``stale`` loose twins of the now-sealed keys are unlinked.
+        Returns the segment's name.  Raises ``OSError`` when a write is
+        refused; nothing is published then, and no loose file is
+        touched.
+        """
+        from repro import __version__
+
+        written = seg.write_segment(self.directory, records)
         if written is None:
             raise OSError(
                 f"failed to write packed segment in {self.directory}"
@@ -1191,18 +1350,14 @@ class SweepStore:
                 delta_records=manifest.delta_records + 1,
             )
         else:
-            # No usable index yet (fresh store, unparseable root, or a
-            # foreign generation's root): full checkpoint at the next
-            # generation.
-            # ``raw`` (the pre-generation-gate read) supplies the base so
-            # a foreign root's delta log is never reused.
-            generation = (raw.generation if raw is not None else 0) + 1
+            # No usable index yet (fresh store or unparseable root): full
+            # checkpoint at the first generation.
             new_manifest = seg.Manifest(
                 entries=old_entries,
                 segments=old_segments,
                 schema_version=SCHEMA_VERSION,
                 engine_version=__version__,
-                generation=generation,
+                generation=1,
                 shard_count=len({seg.shard_id(k) for k in old_entries}),
                 delta_records=0,
             )
@@ -1212,15 +1367,9 @@ class SweepStore:
                     f"loose records were kept"
                 )
         self._manifest = new_manifest
-        for path, _, _ in to_seal:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        return CompactionReport(
-            sealed=len(to_seal), deduped=deduped, skipped=skipped,
-            segment=name,
-        )
+        for path in stale:
+            _unlink_quietly(path)
+        return name
 
     #: Records per generation-tagged segment a merge aims for: large
     #: enough that a 10^5-record store collapses to a dozen-odd segments,
@@ -1404,7 +1553,7 @@ class SweepStore:
                     sealed=0, merged=0, segments=0, generation=0,
                     gc_segments=0, gc_manifest=0,
                 )
-            if raw is not None and self._current_manifest() is None:
+            if raw is not None and not self._owns_root(raw):
                 self._warn(
                     "merge:foreign-root",
                     f"sweep store: refusing to merge {self.directory}: its "
@@ -1569,6 +1718,13 @@ class SweepStore:
         scope = str(self.directory)
         for entry in [e for e in _WARNED if e[0] == scope]:
             _WARNED.discard(entry)
+
+
+def _unlink_quietly(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError:
+        pass
 
 
 def _merge_chunk(directory: str, records: list, name: str) -> tuple | None:

@@ -207,6 +207,31 @@ class TestSuiteExportIntegration:
         assert sorted(mapping.values()) == sorted(corpus.workload_ids)
         assert set(mapping) == {"QAOA", "ADD"}
 
+    def test_ingest_parses_each_file_once(self, tmp_path, monkeypatch):
+        # The scan parses every file to validate it; resolving a workload
+        # for transpilation reuses that circuit instead of re-parsing.
+        import repro.qasm.corpus as corpus_module
+        from repro.experiments.common import clear_caches, prepared_circuit
+
+        directory = str(tmp_path / "suite")
+        export_benchmark_suite(directory, benchmarks=["QAOA", "ADD"])
+        parsed = []
+        real_parse = corpus_module.parse_qasm
+
+        def counting_parse(text):
+            parsed.append(text)
+            return real_parse(text)
+
+        monkeypatch.setattr(corpus_module, "parse_qasm", counting_parse)
+        clear_caches()
+        try:
+            corpus = activate_corpus(directory)
+            for wid in corpus.workload_ids:
+                assert prepared_circuit(wid).num_qubits > 0
+        finally:
+            clear_caches()
+        assert len(parsed) == 2
+
     def test_corpus_copy_of_registry_benchmark_is_equivalent(self, tmp_path):
         directory = str(tmp_path / "suite")
         export_benchmark_suite(directory, benchmarks=["QAOA"])

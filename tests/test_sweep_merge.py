@@ -287,12 +287,23 @@ class TestShardedManifest:
             with pytest.warns(RuntimeWarning, match="unsupported version"):
                 assert list(SweepStore(directory).records()) == []
 
-    @pytest.mark.parametrize("version", [1, 99])
-    def test_compact_refuses_unsupported_root(self, tmp_path, version):
-        # Checkpointing over a root this engine cannot read would orphan
-        # every segment it indexes, and the next merge would delete them.
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("manifest_version", 1),
+            ("manifest_version", 99),
+            ("engine_version", "0.0.1"),
+            ("schema_version", SCHEMA_VERSION + 1),
+        ],
+        ids=["1", "99", "foreign-engine", "foreign-schema"],
+    )
+    def test_compact_refuses_unsupported_root(self, tmp_path, field, value):
+        # Checkpointing over a root this engine cannot read, or one of
+        # another engine or schema generation, would orphan every segment
+        # it indexes, and the next merge would delete them.
         generational_store(tmp_path / "s")
-        set_root_version(tmp_path / "s", version)
+        original = read_root_field(tmp_path / "s", field)
+        set_root_field(tmp_path / "s", field, value)
         key, record = record_for(100)
         store = SweepStore(tmp_path / "s")
         store.put(key, record)
@@ -309,7 +320,7 @@ class TestShardedManifest:
             merged = SweepStore(tmp_path / "s").merge()
         assert merged.gc_segments == 0 and merged.gc_manifest == 0
         assert packed_files(tmp_path / "s") == before
-        set_root_version(tmp_path / "s", seg.MANIFEST_VERSION)
+        set_root_field(tmp_path / "s", field, original)
         assert len(snapshot(tmp_path / "s")) == 13
 
     def test_shard_id_is_total(self):
@@ -322,12 +333,22 @@ class TestShardedManifest:
         assert seg.segment_generation("segment-g0041-000137.seg") == 41
 
 
-def set_root_version(directory, version) -> None:
-    """Rewrite the root's ``manifest_version`` in place."""
+def read_root_field(directory, field):
+    root = Path(directory) / seg.MANIFEST_NAME
+    return json.loads(root.read_text(encoding="utf-8"))[field]
+
+
+def set_root_field(directory, field, value) -> None:
+    """Rewrite one field of the root in place."""
     root = Path(directory) / seg.MANIFEST_NAME
     data = json.loads(root.read_text(encoding="utf-8"))
-    data["manifest_version"] = version
+    data[field] = value
     root.write_text(json.dumps(data), encoding="utf-8")
+
+
+def set_root_version(directory, version) -> None:
+    """Rewrite the root's ``manifest_version`` in place."""
+    set_root_field(directory, "manifest_version", version)
 
 
 def packed_files(directory) -> dict:

@@ -9,6 +9,7 @@ crashing ``analyze`` loses more data than the damaged records ever held.
 import hashlib
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.core.serialize import short_checksum
@@ -432,6 +433,178 @@ class TestEngineSealing:
 
     def test_evaluate_tasks_seal_without_store_is_noop(self):
         assert evaluate_tasks([], store=None, seal=True) == []
+
+    @pytest.mark.parametrize("eval_workers", [1, 2])
+    def test_sealed_sweep_writes_no_loose_or_tmp_file(
+        self, tmp_path, monkeypatch, eval_workers
+    ):
+        # Sealing packs the records the sweep holds in memory: no loose
+        # file is written and read back, in the driver or (forked
+        # children inherit the patch) in any evaluation worker.
+        from repro.sweeps import store as store_module
+        from repro.sweeps.runner import run_sweep
+
+        grid = seal_grid()
+        plain = run_sweep(grid, SweepStore(tmp_path / "plain"))
+
+        def refuse(path, text):
+            raise AssertionError(f"sealed sweep wrote loose file {path}")
+
+        monkeypatch.setattr(store_module, "atomic_write_text", refuse)
+        sealed = run_sweep(
+            grid, SweepStore(tmp_path / "sealed"), seal=True,
+            eval_workers=eval_workers,
+        )
+        assert sealed.records == plain.records
+        names = [p.name for p in (tmp_path / "sealed").rglob("*")]
+        assert not [n for n in names if ".tmp" in n]
+        store = SweepStore(tmp_path / "sealed")
+        assert store.stats().loose == 0 and store.stats().sealed == grid.size
+        assert ResultTable.from_store(store).to_csv() == ResultTable.from_store(
+            SweepStore(tmp_path / "plain")
+        ).to_csv()
+
+    def test_in_process_seal_equals_loose_run_then_compact(self, tmp_path):
+        from repro.sweeps.runner import run_sweep
+
+        grid = seal_grid()
+        run_sweep(grid, SweepStore(tmp_path / "loose"))
+        SweepStore(tmp_path / "loose").compact()
+        run_sweep(grid, SweepStore(tmp_path / "sealed"), seal=True)
+        assert store_bytes(tmp_path / "sealed") == store_bytes(tmp_path / "loose")
+
+
+def seal_grid():
+    from repro.sweeps.grid import SweepGrid
+
+    return SweepGrid(
+        benchmarks=("ADD",),
+        techniques=("parallax",),
+        spec_axes={"cz_error": (0.002, 0.003, 0.004, 0.005)},
+        shots=50,
+        base_seed=7,
+    )
+
+
+def store_bytes(directory) -> dict:
+    """Relative path -> bytes of every file in a store directory."""
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def odd_typed_record(i: int) -> tuple[str, dict]:
+    """:func:`record_for` with field types an in-memory record may carry
+    but a loose file never reads back as: tuples and NumPy scalars."""
+    key, record = record_for(i)
+    record["scenario"]["spec_overrides"] = {
+        "cz_error": np.float64(0.001 * (1 + i % 4)),
+        "window": (i, i + 1),
+    }
+    record["result"]["runtime_us"] = np.float64(12.5 + i)
+    record["outcome"]["success_rate"] = np.float64((90 - i) / 100.0)
+    record["analytic_success"] = np.float64(0.9 - 0.01 * i)
+    return key, record
+
+
+class TestSealFromMemory:
+    def test_bytes_equal_put_then_compact(self, tmp_path):
+        # Two batches: the first checkpoints generation 1, the second is
+        # published through the delta log.  Segments, sidecars, shards,
+        # root and delta log must all match the loose round trip.
+        batches = [
+            [odd_typed_record(i) for i in range(6)],
+            [odd_typed_record(i) for i in range(6, 10)],
+        ]
+        for batch in batches:
+            loose = SweepStore(tmp_path / "loose")
+            for key, record in batch:
+                loose.put(key, record)
+            loose.compact(keys=[key for key, _ in batch])
+            report = SweepStore(tmp_path / "sealed").seal(batch)
+            assert report.sealed == len(batch) and report.deduped == 0
+        sealed = store_bytes(tmp_path / "sealed")
+        assert sealed == store_bytes(tmp_path / "loose")
+        assert "manifest/delta-g0001.log" in sealed
+        assert "segment-000002.cols" in sealed
+
+    def test_sealed_keys_skipped_and_loose_twins_removed(self, tmp_path):
+        store, keys = filled_store(tmp_path / "s", n=4)
+        store.compact(keys=keys[:2])
+        report = SweepStore(tmp_path / "s").seal(
+            [record_for(i) for i in range(4)]
+        )
+        assert report.sealed == 2 and report.deduped == 2
+        assert report.segment == "segment-000002.seg"
+        fresh = SweepStore(tmp_path / "s")
+        assert fresh.stats().loose == 0 and fresh.stats().sealed == 4
+        for key in keys:
+            assert fresh.get(key)["key"] == key
+        again = SweepStore(tmp_path / "s").seal([record_for(0)])
+        assert again == CompactionReport(
+            sealed=0, deduped=1, skipped=0, segment=None
+        )
+
+    def test_contended_lock_falls_back_to_loose_records(self, tmp_path):
+        # The loser of the compaction lock leaves its records loose,
+        # exactly as put would write them -- none is lost.
+        pairs = [record_for(i) for i in range(3)]
+        put_store, _ = filled_store(tmp_path / "put", n=3)
+        store = SweepStore(tmp_path / "s")
+        (tmp_path / "s" / "COMPACT.lock").write_text("4242")
+        with pytest.warns(RuntimeWarning, match="another compaction"):
+            report = store.seal(pairs)
+        assert report.sealed == 0 and report.segment is None
+        assert segment_files(tmp_path / "s") == []
+        for key, _ in pairs:
+            assert (
+                store.path(key).read_bytes()
+                == put_store.path(key).read_bytes()
+            )
+
+    def test_foreign_root_falls_back_to_loose_records(self, tmp_path):
+        store, _ = filled_store(tmp_path / "s", n=4)
+        store.compact()
+        manifest = seg.load_manifest(tmp_path / "s")
+        assert seg.write_manifest(
+            tmp_path / "s",
+            seg.Manifest(
+                entries=manifest.entries,
+                segments=manifest.segments,
+                schema_version=SCHEMA_VERSION,
+                engine_version="0.0.1",
+                generation=manifest.generation,
+            ),
+        )
+        root = (tmp_path / "s" / seg.MANIFEST_NAME).read_bytes()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = SweepStore(tmp_path / "s").seal(
+                [record_for(i) for i in range(4, 6)]
+            )
+        assert any("refusing to compact" in str(w.message) for w in caught)
+        assert report.sealed == 0
+        assert [p.name for p in segment_files(tmp_path / "s")] == [
+            "segment-000001.seg"
+        ]
+        assert (tmp_path / "s" / seg.MANIFEST_NAME).read_bytes() == root
+        assert len(list(SweepStore(tmp_path / "s").loose_paths())) == 2
+
+    def test_refused_segment_write_falls_back_to_loose_records(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(seg, "write_segment", lambda *args, **kw: None)
+        store = SweepStore(tmp_path / "s")
+        with pytest.warns(RuntimeWarning, match="could not seal"):
+            report = store.seal([record_for(i) for i in range(3)])
+        assert report.sealed == 0
+        fresh = SweepStore(tmp_path / "s")
+        assert fresh.stats().loose == 3 and fresh.stats().sealed == 0
+        for i in range(3):
+            key, _ = record_for(i)
+            assert fresh.get(key)["key"] == key
 
 
 class TestCompactCLI:

@@ -343,6 +343,36 @@ class TestETag:
 # ---------------------------------------------------------------------------
 
 
+class TestListenBacklog:
+    def test_connection_burst_completes_while_accept_loop_is_held(
+        self, tmp_path
+    ):
+        # Nothing accepts (serve_forever never runs), so every connection
+        # waits in the listen backlog.  Beyond socketserver's default of
+        # 5, the kernel would drop SYNs and each client would stall for
+        # the ~1 s retransmit; a fleet-sized backlog completes them all
+        # at once.
+        import socket
+
+        server = SweepServer(filled_store(tmp_path / "s").directory)
+        clients = []
+        try:
+            start = time.perf_counter()
+            for _ in range(24):
+                clients.append(
+                    socket.create_connection(
+                        ("127.0.0.1", server.port), timeout=0.5
+                    )
+                )
+            elapsed = time.perf_counter() - start
+        finally:
+            for client in clients:
+                client.close()
+            server.server_close()
+        assert len(clients) == 24
+        assert elapsed < 0.5
+
+
 class TestConcurrency:
     def test_readers_stay_consistent_under_compact_and_merge(self, served):
         """Every /csv answered while a writer compacts and merges must be

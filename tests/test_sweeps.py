@@ -105,6 +105,43 @@ class TestScenarioKey:
         scenario = small_grid().scenarios()[0]
         assert scenario_key(scenario, "c", "g") == scenario_key(scenario, "c", "g")
 
+    def test_plan_keys_match_the_unmemoized_derivation(self):
+        # Keys hash memoized spec/noise digests; they must equal the
+        # direct derivation byte for byte -- also for axis values that
+        # compare equal across types (4e6 == 4_000_000, 0 == False) but
+        # encode, and so hash, differently.
+        from repro import __version__
+        from repro.pipeline.fingerprint import fingerprint_obj
+        from repro.sweeps.runner import plan_sweep
+
+        grid = small_grid(
+            spec_axes={
+                "cz_error": (0.002, 0.004),
+                "t1_us": (4_000_000, 4_000_000.0),
+            },
+            noise_axes={"include_readout": (False, 0, True, 1)},
+            config_axes={"placement_seed": (0, 1)},
+        )
+        plan = plan_sweep(grid)
+        assert len(set(plan.keys)) == len(plan) == 32
+        for scenario, key, fps in zip(
+            plan.scenarios, plan.keys, plan.fingerprints
+        ):
+            payload = {
+                "benchmark": scenario.benchmark,
+                "technique": scenario.technique,
+                "circuit": fps["circuit"],
+                "config": fps["config"],
+                "spec": fingerprint_obj(scenario.spec),
+                "noise": fingerprint_obj(scenario.noise),
+                "shots": scenario.shots,
+                "seed": scenario.seed,
+                "version": __version__,
+                "config_overrides": dict(scenario.config_overrides),
+            }
+            assert key == fingerprint_obj(payload)
+            assert fps["spec"] == fingerprint_obj(scenario.spec)
+
 
 class TestSweepStore:
     def test_round_trip(self, tmp_path):
