@@ -76,9 +76,7 @@ class CorpusWorkload:
     checksum: str
     num_qubits: int
     num_gates: int
-    circuit: "QuantumCircuit | None" = field(
-        default=None, compare=False, repr=False
-    )
+    circuit: QuantumCircuit = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -185,9 +183,8 @@ def scan_corpus(directory: str, pattern: str = "*.qasm") -> Corpus:
 
 # -- registry ------------------------------------------------------------------
 
-#: workload id -> source path, and the circuit each id resolves to: the one
-#: its scan parsed, or -- for a workload registered without one -- parsed
-#: on first resolution.  Resolution is deterministic in every process that
+#: workload id -> source path, and the circuit each id resolves to (the one
+#: its scan parsed).  Resolution is deterministic in every process that
 #: scans the same directory.
 _REGISTRY: dict[str, str] = {}
 _CIRCUITS: dict[str, QuantumCircuit] = {}
@@ -206,8 +203,7 @@ def register_corpus(corpus: "Corpus | str") -> Corpus:
         corpus = scan_corpus(corpus)
     for workload in corpus.workloads:
         _REGISTRY[workload.workload_id] = workload.path
-        if workload.circuit is not None:
-            _CIRCUITS.setdefault(workload.workload_id, workload.circuit)
+        _CIRCUITS.setdefault(workload.workload_id, workload.circuit)
     _SCANNED_DIRS.add(os.path.abspath(corpus.directory))
     return corpus
 
@@ -258,16 +254,10 @@ def resolve_workload(name: str) -> QuantumCircuit:
         KeyError: when ``name`` matches no registered workload.
     """
     key = name.upper()
-    if key not in _REGISTRY:
-        _ensure_env_corpora()
-    path = _REGISTRY.get(key)
-    if path is None:
-        raise KeyError(f"unknown corpus workload {name!r}")
     if key not in _CIRCUITS:
-        text = Path(path).read_text(encoding="utf-8")
-        circuit = parse_qasm(text)
-        circuit.name = key
-        _CIRCUITS[key] = circuit
+        _ensure_env_corpora()
+    if key not in _CIRCUITS:
+        raise KeyError(f"unknown corpus workload {name!r}")
     return _CIRCUITS[key]
 
 

@@ -61,6 +61,7 @@ Record schema (``SCHEMA_VERSION = 2``)::
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import json
 import logging
@@ -71,6 +72,7 @@ import time
 import typing
 import uuid
 import warnings
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -202,6 +204,9 @@ class CompactionReport:
     deduped: int
     skipped: int
     segment: str | None
+
+
+_NOTHING_SEALED = CompactionReport(sealed=0, deduped=0, skipped=0, segment=None)
 
 
 @dataclass(frozen=True)
@@ -1036,8 +1041,10 @@ class SweepStore:
     #: between acquire and release) and are broken by the next compaction.
     _LOCK_STALE_S = 3600.0
 
-    def _acquire_compaction_lock(self) -> Path | None:
-        """Exclusive advisory lock serializing compactors on one store.
+    @contextlib.contextmanager
+    def _compaction_lock(self) -> "typing.Iterator[bool]":
+        """Exclusive advisory lock serializing compactors on one store;
+        yields whether it was acquired, and releases it on exit.
 
         O_CREAT|O_EXCL makes acquisition atomic on any local filesystem.
         Without it, two concurrent compactions (a ``--seal`` sweep plus an
@@ -1047,9 +1054,8 @@ class SweepStore:
         is silent data loss.  Contention is not an error: the caller skips
         compaction and every record simply stays loose.
         """
-        import time
-
         lock = self.directory / "COMPACT.lock"
+        held = False
         for attempt in (0, 1):
             try:
                 fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -1059,20 +1065,22 @@ class SweepStore:
                 except OSError:
                     continue  # holder just released; retry
                 if attempt == 0 and age > self._LOCK_STALE_S:
-                    try:
-                        lock.unlink()
-                    except OSError:
-                        pass
+                    _unlink_quietly(lock)
                     continue
-                return None
+                break
             except OSError:
-                return None
+                break
             try:
                 os.write(fd, str(os.getpid()).encode("ascii"))
             finally:
                 os.close(fd)
-            return lock
-        return None
+            held = True
+            break
+        try:
+            yield held
+        finally:
+            if held:
+                _unlink_quietly(lock)
 
     def compact(self, keys: "Iterable[str] | None" = None) -> CompactionReport:
         """Seal loose records into a new immutable packed segment.
@@ -1111,17 +1119,11 @@ class SweepStore:
         :meth:`_owns_root`).  Checkpointing over it would orphan every
         segment it indexes for the next merge to delete.
         """
-        lock = self._acquire_compaction_lock()
-        if lock is None:
-            self._warn_locked()
-            return CompactionReport(sealed=0, deduped=0, skipped=0, segment=None)
-        try:
+        with self._compaction_lock() as held:
+            if not held:
+                self._warn_locked()
+                return _NOTHING_SEALED
             return self._compact_locked(keys)
-        finally:
-            try:
-                lock.unlink()
-            except OSError:
-                pass
 
     def seal(self, records: "Iterable[tuple[str, dict]]") -> CompactionReport:
         """Seal in-memory ``(key, record)`` pairs straight into a new
@@ -1145,58 +1147,31 @@ class SweepStore:
         """
         stamped = {key: self._stamped(key, record) for key, record in records}
         if not stamped:
-            return CompactionReport(sealed=0, deduped=0, skipped=0, segment=None)
-        lock = self._acquire_compaction_lock()
-        if lock is None:
-            self._warn_locked()
-            self._spill(stamped)
-            return CompactionReport(sealed=0, deduped=0, skipped=0, segment=None)
-        try:
-            manifest, owned = self._owned_manifest_locked()
-            if not owned:
-                self._spill(stamped)
-                return CompactionReport(sealed=0, deduped=0, skipped=0, segment=None)
-            sealed_keys = manifest.entries if manifest is not None else {}
-            fresh = {}
-            deduped = 0
-            for key, text in stamped.items():
-                if key in sealed_keys:
-                    deduped += 1
-                    _unlink_quietly(self.path(key))
-                else:
-                    fresh[key] = text
-            if not fresh:
-                return CompactionReport(
-                    sealed=0, deduped=deduped, skipped=0, segment=None
-                )
-            ordered = sorted(fresh)
-            try:
+            return _NOTHING_SEALED
+        with self._compaction_lock() as held:
+            if not held:
+                self._warn_locked()
+            else:
                 # The packer must see records in the form a loose file
                 # reads back as (lists, not tuples; plain floats), or the
                 # sidecar's column encodings would drift from compact's.
-                name = self._publish_locked(
-                    manifest,
-                    [json.loads(fresh[key]) for key in ordered],
-                    stale=[self.path(key) for key in ordered],
-                )
-            except OSError as exc:
-                self._warn(
-                    "seal:failed",
-                    f"sweep store: could not seal records into "
-                    f"{self.directory} ({exc}); writing them loose",
-                )
-                self._spill(fresh)
-                return CompactionReport(
-                    sealed=0, deduped=deduped, skipped=0, segment=None
-                )
-            return CompactionReport(
-                sealed=len(ordered), deduped=deduped, skipped=0, segment=name
-            )
-        finally:
-            try:
-                lock.unlink()
-            except OSError:
-                pass
+                items = [
+                    (key, json.loads(text), self.path(key))
+                    for key, text in stamped.items()
+                ]
+                try:
+                    report = self._seal_locked(items)
+                except OSError as exc:
+                    self._warn(
+                        "seal:failed",
+                        f"sweep store: could not seal records into "
+                        f"{self.directory} ({exc}); writing them loose",
+                    )
+                    report = None
+                if report is not None:
+                    return report
+        self._spill(stamped)
+        return _NOTHING_SEALED
 
     def _spill(self, stamped: "dict[str, str]") -> None:
         """Write stamped record texts loose, in key order (the fallback of
@@ -1242,10 +1217,6 @@ class SweepStore:
 
     def _compact_locked(self, keys: "Iterable[str] | None" = None) -> CompactionReport:
         """:meth:`compact` body; caller must hold the compaction lock."""
-        manifest, owned = self._owned_manifest_locked()
-        if not owned:
-            return CompactionReport(sealed=0, deduped=0, skipped=0, segment=None)
-        sealed_keys = set(manifest.entries) if manifest is not None else set()
         wanted = None if keys is None else set(keys)
 
         # With an explicit key set (the distributed --seal batches), visit
@@ -1257,8 +1228,8 @@ class SweepStore:
         else:
             candidates = sorted({self.path(key) for key in wanted})
 
-        to_seal: list[tuple[Path, str, dict]] = []
-        deduped = skipped = 0
+        items: list[tuple[str, dict, Path]] = []
+        skipped = 0
         for path in candidates:
             if not path.exists():
                 continue
@@ -1275,25 +1246,49 @@ class SweepStore:
                 continue
             if wanted is not None and key not in wanted:
                 continue
-            if key in sealed_keys:
-                deduped += 1
-                _unlink_quietly(path)
-                continue
-            to_seal.append((path, key, record))
-        if not to_seal:
-            return CompactionReport(
-                sealed=0, deduped=deduped, skipped=skipped, segment=None
-            )
+            items.append((key, record, path))
+        report = self._seal_locked(items)
+        if report is None:
+            return _NOTHING_SEALED
+        return dataclasses.replace(report, skipped=skipped)
 
-        to_seal.sort(key=lambda item: item[1])
+    def _seal_locked(
+        self, items: "list[tuple[str, dict, Path]]"
+    ) -> "CompactionReport | None":
+        """Seal ``(key, record, loose path)`` items into one new segment;
+        the shared body of :meth:`compact` and :meth:`seal`.  Caller must
+        hold the compaction lock.
+
+        Records are stamped and in canonical-JSON form.  Keys the index
+        already holds are dropped and their loose ``path`` removed; the
+        rest are published, in key order, by :meth:`_publish_locked`.
+        Returns None -- publishing nothing -- when this engine does not
+        own the store's root (see :meth:`_owned_manifest_locked`).
+        Raises ``OSError`` when a write is refused.
+        """
+        manifest, owned = self._owned_manifest_locked()
+        if not owned:
+            return None
+        sealed_keys = manifest.entries if manifest is not None else {}
+        fresh = []
+        for item in items:
+            if item[0] in sealed_keys:
+                _unlink_quietly(item[2])
+            else:
+                fresh.append(item)
+        deduped = len(items) - len(fresh)
+        if not fresh:
+            return CompactionReport(
+                sealed=0, deduped=deduped, skipped=0, segment=None
+            )
+        fresh.sort(key=lambda item: item[0])
         name = self._publish_locked(
             manifest,
-            [record for _, _, record in to_seal],
-            stale=[path for path, _, _ in to_seal],
+            [record for _, record, _ in fresh],
+            stale=[path for _, _, path in fresh],
         )
         return CompactionReport(
-            sealed=len(to_seal), deduped=deduped, skipped=skipped,
-            segment=name,
+            sealed=len(fresh), deduped=deduped, skipped=0, segment=name
         )
 
     def _publish_locked(
@@ -1302,8 +1297,8 @@ class SweepStore:
         records: "list[dict]",
         stale: "Iterable[Path]",
     ) -> str:
-        """Write ``records`` as one new segment and publish it; the one
-        publish path of :meth:`compact` and :meth:`seal`.
+        """Write ``records`` as one new segment and publish it (the
+        publish half of :meth:`_seal_locked`).
 
         ``records`` are stamped, in canonical-JSON form and in ascending
         key order; ``manifest`` is the owned index re-read under the
@@ -1526,18 +1521,17 @@ class SweepStore:
             raise ValueError(f"target_records must be positive, got {target}")
         if jobs is not None and jobs <= 0:
             raise ValueError(f"jobs must be positive, got {jobs}")
-        lock = self._acquire_compaction_lock()
-        if lock is None:
-            self._warn(
-                "merge:locked",
-                f"sweep store: another compaction of {self.directory} is in "
-                f"progress; skipping merge (rerun later)",
-            )
-            return MergeReport(
-                sealed=0, merged=0, segments=0, generation=0,
-                gc_segments=0, gc_manifest=0,
-            )
-        try:
+        with self._compaction_lock() as held:
+            if not held:
+                self._warn(
+                    "merge:locked",
+                    f"sweep store: another compaction of {self.directory} "
+                    f"is in progress; skipping merge (rerun later)",
+                )
+                return MergeReport(
+                    sealed=0, merged=0, segments=0, generation=0,
+                    gc_segments=0, gc_manifest=0,
+                )
             self._manifest = _UNLOADED
             root_exists = (self.directory / seg.MANIFEST_NAME).exists()
             raw = self.manifest()
@@ -1668,11 +1662,6 @@ class SweepStore:
                 gc_segments=gc_segments,
                 gc_manifest=gc_manifest,
             )
-        finally:
-            try:
-                lock.unlink()
-            except OSError:
-                pass
 
     # -- maintenance -----------------------------------------------------------
 

@@ -283,7 +283,7 @@ class TestShardedManifest:
         for version in (1, 99):
             directory = tmp_path / f"v{version}"
             generational_store(directory)
-            set_root_version(directory, version)
+            set_root_field(directory, "manifest_version", version)
             with pytest.warns(RuntimeWarning, match="unsupported version"):
                 assert list(SweepStore(directory).records()) == []
 
@@ -344,11 +344,6 @@ def set_root_field(directory, field, value) -> None:
     data = json.loads(root.read_text(encoding="utf-8"))
     data[field] = value
     root.write_text(json.dumps(data), encoding="utf-8")
-
-
-def set_root_version(directory, version) -> None:
-    """Rewrite the root's ``manifest_version`` in place."""
-    set_root_field(directory, "manifest_version", version)
 
 
 def packed_files(directory) -> dict:

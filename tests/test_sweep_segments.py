@@ -404,74 +404,48 @@ class TestSegmentFormat:
 
 
 class TestEngineSealing:
-    def test_seal_during_evaluation(self, tmp_path):
+    def test_seal_during_evaluation(self, tmp_path, monkeypatch):
         # evaluate_tasks(seal=True) must leave a packed store whose records
-        # equal the unsealed run's.
+        # equal the unsealed run's.  Sealing packs the records the sweep
+        # holds in memory: no loose file is written and read back, in the
+        # driver or (forked children inherit the patch) in any evaluation
+        # worker.
         from repro.experiments.common import clear_caches
-        from repro.sweeps.grid import SweepGrid
-        from repro.sweeps.runner import run_sweep
-
-        clear_caches()
-        grid = SweepGrid(
-            benchmarks=("ADD",),
-            techniques=("parallax",),
-            spec_axes={"cz_error": (0.002, 0.004)},
-            shots=50,
-            base_seed=7,
-        )
-        plain = run_sweep(grid, SweepStore(tmp_path / "plain"))
-        sealed = run_sweep(grid, SweepStore(tmp_path / "sealed"), seal=True)
-        assert sealed.records == plain.records
-        stats = SweepStore(tmp_path / "sealed").stats()
-        assert stats.loose == 0 and stats.sealed == 2
-        # Resume over the packed store is a no-op.
-        again = run_sweep(
-            grid, SweepStore(tmp_path / "sealed"), resume=True, seal=True
-        )
-        assert again.computed == 0 and again.resumed == 2
-        assert again.records == plain.records
-
-    def test_evaluate_tasks_seal_without_store_is_noop(self):
-        assert evaluate_tasks([], store=None, seal=True) == []
-
-    @pytest.mark.parametrize("eval_workers", [1, 2])
-    def test_sealed_sweep_writes_no_loose_or_tmp_file(
-        self, tmp_path, monkeypatch, eval_workers
-    ):
-        # Sealing packs the records the sweep holds in memory: no loose
-        # file is written and read back, in the driver or (forked
-        # children inherit the patch) in any evaluation worker.
         from repro.sweeps import store as store_module
         from repro.sweeps.runner import run_sweep
 
+        clear_caches()
         grid = seal_grid()
         plain = run_sweep(grid, SweepStore(tmp_path / "plain"))
+        SweepStore(tmp_path / "plain").compact()
+        plain_csv = ResultTable.from_store(SweepStore(tmp_path / "plain")).to_csv()
 
         def refuse(path, text):
             raise AssertionError(f"sealed sweep wrote loose file {path}")
 
         monkeypatch.setattr(store_module, "atomic_write_text", refuse)
-        sealed = run_sweep(
-            grid, SweepStore(tmp_path / "sealed"), seal=True,
-            eval_workers=eval_workers,
-        )
-        assert sealed.records == plain.records
-        names = [p.name for p in (tmp_path / "sealed").rglob("*")]
-        assert not [n for n in names if ".tmp" in n]
-        store = SweepStore(tmp_path / "sealed")
-        assert store.stats().loose == 0 and store.stats().sealed == grid.size
-        assert ResultTable.from_store(store).to_csv() == ResultTable.from_store(
-            SweepStore(tmp_path / "plain")
-        ).to_csv()
+        for eval_workers in (1, 2):
+            directory = tmp_path / f"sealed{eval_workers}"
+            sealed = run_sweep(
+                grid, SweepStore(directory), seal=True,
+                eval_workers=eval_workers,
+            )
+            assert sealed.records == plain.records
+            assert not [p for p in directory.rglob("*") if ".tmp" in p.name]
+            store = SweepStore(directory)
+            assert store.stats().loose == 0
+            assert store.stats().sealed == grid.size
+            assert ResultTable.from_store(store).to_csv() == plain_csv
+            # Resume over the packed store is a no-op.
+            again = run_sweep(grid, SweepStore(directory), resume=True, seal=True)
+            assert again.computed == 0 and again.resumed == grid.size
+            assert again.records == plain.records
+        # In-process: the one end-of-run segment, byte for byte what a
+        # loose run followed by compact() writes.
+        assert store_bytes(tmp_path / "sealed1") == store_bytes(tmp_path / "plain")
 
-    def test_in_process_seal_equals_loose_run_then_compact(self, tmp_path):
-        from repro.sweeps.runner import run_sweep
-
-        grid = seal_grid()
-        run_sweep(grid, SweepStore(tmp_path / "loose"))
-        SweepStore(tmp_path / "loose").compact()
-        run_sweep(grid, SweepStore(tmp_path / "sealed"), seal=True)
-        assert store_bytes(tmp_path / "sealed") == store_bytes(tmp_path / "loose")
+    def test_evaluate_tasks_seal_without_store_is_noop(self):
+        assert evaluate_tasks([], store=None, seal=True) == []
 
 
 def seal_grid():
